@@ -1,10 +1,12 @@
-"""Arena round-trip smoke test: the mmap coverage backend must be invisible.
+"""Named-arena round-trip smoke test: an arena checkpoint must replay exactly.
 
-Builds an arena-backed engine, checkpoints it mid-run, resumes from the
-checkpoint (which reattaches the memory-mapped arena by reference and
-verifies its content digest), and diffs the completed history against the
-same run on the plain in-memory backend. Exits non-zero on any divergence —
-CI runs this to guard the "arena is a pure storage swap" guarantee.
+Builds an engine over a named coverage arena file, checkpoints it mid-run,
+resumes from the checkpoint — which records the arena by reference (path +
+content digest) instead of copying its columns, and reattaches the file with
+the digest verified — and diffs the completed history against a straight run
+over the default temporary arena. Exits non-zero on any divergence. CI runs
+this to keep the reference encoding exercised; ``examples/resume_smoke.py``
+covers the inline encoding of temporary arenas.
 """
 
 from __future__ import annotations
@@ -27,48 +29,44 @@ SPEC = {
 
 
 def main() -> int:
-    in_memory = DarwinEngine.from_config(SPEC).run()
-    print(f"memory backend: {in_memory.queries_used} questions, "
-          f"{len(in_memory.rule_set)} rules, recall {in_memory.final_recall:.3f}")
+    straight = DarwinEngine.from_config(SPEC).run()
+    print(f"straight run: {straight.queries_used} questions, "
+          f"{len(straight.rule_set)} rules, recall {straight.final_recall:.3f}")
 
     with tempfile.TemporaryDirectory() as tmp:
+        arena_path = str(Path(tmp) / "arena_smoke.arena")
         spec = copy.deepcopy(SPEC)
-        spec["config"]["index"] = {
-            "coverage_backend": "arena",
-            "arena_path": str(Path(tmp) / "arena_smoke.arena"),
-            "bitset_cache_bytes": 1 << 20,
-        }
+        spec["config"]["index"] = {"arena_path": arena_path}
         checkpoint = str(Path(tmp) / "arena_smoke.npz")
 
         interrupted = DarwinEngine.from_config(spec)
-        backend = interrupted.darwin.index.store.backend
-        if backend != "arena":
-            print(f"FAIL: expected arena backend, got {backend!r}")
-            return 1
         interrupted.run(budget=8)
         interrupted.save(checkpoint)
-        print(f"arena engine checkpointed after "
-              f"{interrupted.questions_asked} questions "
-              f"(arena: {interrupted.darwin.index.store.arena.path})")
+        print(f"named-arena engine checkpointed after "
+              f"{interrupted.questions_asked} questions (arena: {arena_path})")
+        reference = DarwinEngine.describe_checkpoint(checkpoint)["arena"]
+        if not reference or reference["path"] != arena_path:
+            print(f"FAIL: checkpoint does not reference the arena: {reference}")
+            return 1
 
         resumed = DarwinEngine.load(checkpoint)
-        if resumed.darwin.index.store.backend != "arena":
-            print("FAIL: resumed engine lost the arena backend")
+        if resumed.darwin.index.store.arena.path != arena_path:
+            print("FAIL: resumed engine did not reattach the named arena")
             return 1
         arena_result = resumed.run(budget=16)
-    print(f"arena resumed:  {arena_result.queries_used} questions, "
+    print(f"arena resumed: {arena_result.queries_used} questions, "
           f"{len(arena_result.rule_set)} rules, "
           f"recall {arena_result.final_recall:.3f}")
 
-    if arena_result.history != in_memory.history:
-        for memory_rec, arena_rec in zip(in_memory.history, arena_result.history):
-            marker = "  " if memory_rec == arena_rec else "!!"
-            print(f"{marker} q{memory_rec.question_number}: "
-                  f"{memory_rec.rule!r} vs {arena_rec.rule!r}")
-        print("FAIL: arena-backed history diverged from the in-memory backend")
+    if arena_result.history != straight.history:
+        for straight_rec, arena_rec in zip(straight.history, arena_result.history):
+            marker = "  " if straight_rec == arena_rec else "!!"
+            print(f"{marker} q{straight_rec.question_number}: "
+                  f"{straight_rec.rule!r} vs {arena_rec.rule!r}")
+        print("FAIL: named-arena resumed history diverged from the straight run")
         return 1
-    print("OK: arena-backed checkpoint/resume history is identical to the "
-          "in-memory backend")
+    print("OK: named-arena checkpoint/resume history is identical to the "
+          "straight run")
     return 0
 
 

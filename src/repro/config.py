@@ -102,39 +102,33 @@ class ClassifierConfig:
             raise ConfigurationError(f"bad classifier config: {exc}") from exc
 
 
+_RETIRED_INDEX_KEYS = ("coverage_backend", "bitset_cache_bytes")
+"""Settings of the retired heap coverage backend and packed-bitset cache.
+Older checkpoint manifests still record them; :meth:`IndexConfig.from_dict`
+drops them."""
+
+
 @dataclass(frozen=True)
 class IndexConfig:
     """Configuration of the corpus index's coverage storage.
 
+    Interned coverage columns always live in a memory-mapped
+    :class:`~repro.index.arena.CoverageArena` file, so corpora whose coverage
+    columns exceed RAM stay queryable through ``CoverageView`` handles.
+
     Attributes:
-        coverage_backend: ``"memory"`` (interned coverage arrays on the heap,
-            the default) or ``"arena"`` (arrays spilled to a memory-mapped
-            :class:`~repro.index.arena.CoverageArena` file, so corpora whose
-            coverage columns exceed RAM stay queryable through unchanged
-            ``CoverageView`` handles).
-        arena_path: Arena file location for the arena backend. ``None`` uses
-            an unlinked-on-exit temporary file — fine for one-shot runs, but
-            checkpoints taken over a temp arena cannot be resumed after the
-            process exits; pass a real path for durable runs.
-        bitset_cache_bytes: LRU byte budget for the packed-bitset fast path
-            on the arena backend (resident memory for coverage stays on the
-            order of this budget). ``0`` disables bitsets entirely.
+        arena_path: Arena file location. ``None`` uses an anonymous temporary
+            file, unlinked when the index is dropped; checkpoints then carry
+            the coverage columns inline. A named arena outlives the process,
+            and checkpoints reference it by path + content digest instead of
+            copying it.
     """
 
-    coverage_backend: str = "memory"
     arena_path: Optional[str] = None
-    bitset_cache_bytes: int = 8 << 20
 
     def __post_init__(self) -> None:
-        if self.coverage_backend not in ("memory", "arena"):
-            raise ConfigurationError(
-                f"unknown coverage_backend: {self.coverage_backend!r} "
-                f"(expected 'memory' or 'arena')"
-            )
         if self.arena_path is not None and not isinstance(self.arena_path, str):
             raise ConfigurationError("arena_path must be a string path or None")
-        if self.bitset_cache_bytes < 0:
-            raise ConfigurationError("bitset_cache_bytes must be non-negative")
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-able mapping of this config (checkpoint manifests)."""
@@ -142,9 +136,17 @@ class IndexConfig:
 
     @classmethod
     def from_dict(cls, mapping: Mapping[str, Any]) -> "IndexConfig":
-        """Rebuild a config from :meth:`as_dict` output / a plain JSON dict."""
+        """Rebuild a config from :meth:`as_dict` output / a plain JSON dict.
+
+        The keys in ``_RETIRED_INDEX_KEYS`` are dropped, so manifests of
+        older checkpoints still load.
+        """
+        record = {
+            key: value for key, value in dict(mapping).items()
+            if key not in _RETIRED_INDEX_KEYS
+        }
         try:
-            return cls(**dict(mapping))
+            return cls(**record)
         except TypeError as exc:  # unknown field name
             raise ConfigurationError(f"bad index config: {exc}") from exc
 
@@ -186,8 +188,8 @@ class DarwinConfig:
             (see :data:`repro.engine.registry.ORACLES`).
         classifier: Nested :class:`ClassifierConfig` (its ``model`` field is a
             :data:`repro.engine.registry.CLASSIFIERS` name).
-        index: Nested :class:`IndexConfig` selecting where interned coverage
-            columns live (``memory`` or the memory-mapped ``arena`` backend).
+        index: Nested :class:`IndexConfig` naming the arena file interned
+            coverage columns live in.
         seed: Seed for all stochastic tie-breaking inside the search.
     """
 
@@ -421,9 +423,6 @@ class GatewayConfig:
             ``0.0.0.0`` explicitly to serve external traffic.
         port: TCP port; ``0`` asks the OS for an ephemeral port (the bound
             port is reported on stdout and in the ``--ready-file``).
-        backend: HTTP server backend registry name (``"stdlib"`` ships;
-            ``"starlette"`` is recognised and used when the package is
-            importable, without ever being a hard dependency).
         queue_depth: Bound of each tenant's admission queue — jobs admitted
             but not yet finished. A full queue answers 429 + ``Retry-After``.
         deadline_ms: Default per-request deadline. Time a job may spend
@@ -442,7 +441,6 @@ class GatewayConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    backend: str = "stdlib"
     queue_depth: int = 32
     deadline_ms: float = 10_000.0
     retry_after_s: int = 1
@@ -459,8 +457,6 @@ class GatewayConfig:
             raise ConfigurationError(
                 f"port must be in [0, 65535] (0 = ephemeral), got {self.port}"
             )
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ConfigurationError("backend must be a registry name")
         if self.queue_depth < 1:
             raise ConfigurationError("queue_depth must be at least 1")
         if self.deadline_ms <= 0:

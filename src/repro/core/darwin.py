@@ -181,23 +181,13 @@ class Darwin:
         if index is not None:
             self.index = index
         else:
-            index_config = self.config.index
-            arena_config = None
-            if index_config.coverage_backend == "arena":
-                from ..index.arena import ArenaConfig
-
-                arena_config = ArenaConfig(
-                    path=index_config.arena_path,
-                    bitset_cache_bytes=index_config.bitset_cache_bytes,
-                )
             with self._phase("index_build"):
                 self.index = CorpusIndex.build(
                     corpus,
                     self.grammars,
                     max_depth=self.config.max_sketch_depth,
                     min_coverage=self.config.min_coverage,
-                    coverage_backend=index_config.coverage_backend,
-                    arena_config=arena_config,
+                    arena_path=self.config.index.arena_path,
                 )
         if featurizer is not None:
             self.featurizer = featurizer
@@ -274,23 +264,13 @@ class Darwin:
         if self.trainer is not None:
             gauge("tenant_retrains", "Classifier retrains this session",
                   self.trainer.retrain_count)
-        store = self.index.store
-        stats = store.stats()
+        stats = self.index.store.stats()
         gauge("coverage_interned", "Distinct interned coverages",
               stats.get("num_interned", 0.0))
         gauge("coverage_resident_bytes", "Heap bytes held by coverage columns",
               stats.get("resident_coverage_bytes", 0.0))
-        bitset = store.bitset_cache_stats()
-        gauge("coverage_bitset_hits", "Bitset LRU cache hits",
-              bitset.get("hits", 0.0))
-        gauge("coverage_bitset_misses", "Bitset LRU cache misses",
-              bitset.get("misses", 0.0))
-        gauge("coverage_bitset_evictions", "Bitset LRU cache evictions",
-              bitset.get("evictions", 0.0))
-        gauge("coverage_bitset_bytes", "Bitset LRU cache resident bytes",
-              bitset.get("cached_bytes", 0.0))
         for key in ("shared_routed", "local_routed", "local_interned"):
-            if key in stats:  # overlay backend only
+            if key in stats:  # overlay stores only
                 gauge(f"overlay_{key}",
                       "Overlay intern() routing (see OverlayCoverageStore)",
                       stats[key])
@@ -494,11 +474,6 @@ class Darwin:
             len(coverage), size=self.config.oracle_sample_size, replace=False
         )
         return [coverage[i] for i in sorted(chosen)]
-
-    def _sample_for_query(self, rule: LabelingHeuristic) -> List[int]:
-        """Deprecated alias of :meth:`sample_for_query` (kept for callers that
-        predate the public name)."""
-        return self.sample_for_query(rule)
 
     # ------------------------------------------------------------------- step
     def propose_next(self) -> Optional[LabelingHeuristic]:
@@ -811,7 +786,7 @@ class Darwin:
             rule = self.propose_next()
             if rule is None:
                 break
-            samples = self._sample_for_query(rule)
+            samples = self.sample_for_query(rule)
             try:
                 with self._phase("oracle_answer"):
                     answer = budgeted.ask(rule, samples)

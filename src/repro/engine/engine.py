@@ -482,19 +482,12 @@ class DarwinEngine:
                     "the same instances to DarwinEngine.load(path, grammars=...)"
                 )
             grammars = _build_grammars(config, grammar_options)
-        from ..index.arena import ArenaConfig
         from ..index.trie_index import CorpusIndex
 
-        # Runtime arena tuning (bitset cache budget) comes from the config;
-        # the arena *file* is located by the checkpoint's reference and its
-        # content digest is verified on reattach.
-        arena_config = ArenaConfig(
-            path=config.index.arena_path,
-            bitset_cache_bytes=config.index.bitset_cache_bytes,
-        )
-        index = CorpusIndex.from_state(
-            manifest["index"], bundle, grammars, arena_config=arena_config
-        )
+        # A named arena is located by the checkpoint's reference and its
+        # content digest is verified on reattach; inline columns are
+        # re-interned into a fresh temporary arena.
+        index = CorpusIndex.from_state(manifest["index"], bundle, grammars)
         engine = cls(
             corpus,
             config=config,
@@ -567,7 +560,7 @@ class DarwinEngine:
             "index_nodes": len(index_state.get("nodes", [])),
             "num_sentences": index_state.get("num_sentences"),
             "coverage_backend": index_state.get("store", {}).get(
-                "backend", "memory"
+                "backend", "inline"
             ),
             # Overlay stores (tenant checkpoints) keep their arena reference
             # one level down, on the shared base they point at.

@@ -35,7 +35,6 @@ from ..classifier.features import (
 from ..config import CrowdConfig, DarwinConfig, FleetConfig, IndexConfig
 from ..errors import ConfigurationError
 from ..gateway.wire import BadRequestError, NotFoundError
-from ..index.arena import ArenaConfig
 from ..index.trie_index import CorpusIndex
 from ..obs import get_registry
 from ..text.corpus import Corpus
@@ -48,10 +47,10 @@ class FleetSupervisor:
 
     Args:
         corpus: The corpus every tenant labels.
-        config: Per-tenant run configuration. The fleet requires the arena
-            coverage backend (the shared file is the cross-process contract);
-            a memory-backend config is upgraded in place, defaulting the
-            arena file into the fleet workdir.
+        config: Per-tenant run configuration. The fleet requires a named
+            coverage arena (the shared file is the cross-process contract);
+            a config without ``index.arena_path`` gets one in the fleet
+            workdir.
         fleet: Fleet topology and process parameters.
         crowd_config: Crowd parameters for every tenant's coordinator.
         seeds: Default seeds for spawned tenants.
@@ -89,15 +88,10 @@ class FleetSupervisor:
         )
         os.makedirs(self.workdir, exist_ok=True)
         config = config or DarwinConfig()
-        if (
-            config.index.coverage_backend != "arena"
-            or not config.index.arena_path
-        ):
+        if not config.index.arena_path:
             config = config.with_overrides(
                 index=IndexConfig(
-                    coverage_backend="arena",
-                    arena_path=os.path.join(self.workdir, "fleet.arena"),
-                    bitset_cache_bytes=config.index.bitset_cache_bytes,
+                    arena_path=os.path.join(self.workdir, "fleet.arena")
                 )
             )
         self.config = config
@@ -138,13 +132,8 @@ class FleetSupervisor:
             grammars,
             max_depth=self.config.max_sketch_depth,
             min_coverage=self.config.min_coverage,
-            coverage_backend="arena",
-            arena_config=ArenaConfig(
-                path=self.config.index.arena_path,
-                bitset_cache_bytes=self.config.index.bitset_cache_bytes,
-            ),
+            arena_path=self.config.index.arena_path,
         )
-        index.store.flush()
         index.store.arena.reopen_read_only()
         self.arena_digest = index.store.arena.digest
         featurizer = SentenceFeaturizer.fit(

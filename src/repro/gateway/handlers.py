@@ -2,15 +2,15 @@
 
 :class:`GatewayApp` is the whole HTTP surface expressed as one pure-ish
 function, ``handle(method, path, headers, body) -> (status, headers, body)``.
-Server backends (:mod:`repro.gateway.server`) only move bytes; everything a
-request *means* — routing, auth, admission, deadline bookkeeping, error
+The server shell (:mod:`repro.gateway.server`) only moves bytes; everything
+a request *means* — routing, auth, admission, deadline bookkeeping, error
 envelopes, metrics — happens here, which is what makes the app testable
-without ever opening a socket and keeps alternate backends (starlette) thin.
+without ever opening a socket.
 
-Where the tenants *live* is a second, orthogonal axis — the serving
-backend. :class:`LocalPoolBackend` hosts them in-process on a
-:class:`~repro.serving.pool.TenantPool` (the classic single-process
-gateway); :class:`FleetBackend` routes every operation over pipe RPC to a
+Where the tenants *live* is the serving backend. :class:`LocalPoolBackend`
+hosts them in-process on a :class:`~repro.serving.pool.TenantPool` (the
+classic single-process gateway); :class:`FleetBackend` routes every
+operation over pipe RPC to a
 :class:`~repro.fleet.supervisor.FleetSupervisor`'s worker processes. Both
 run the same operation bodies (:mod:`repro.gateway.ops`), so the wire shape
 is identical and the choice is pure deployment (``repro serve-http

@@ -1,8 +1,8 @@
 """Corpus indexing: derivation sketches, the merged corpus index, hierarchies,
-and the columnar coverage store backing all of them (with an optional
-memory-mapped arena backend for larger-than-memory coverage columns)."""
+and the columnar coverage store backing all of them (its columns live in a
+memory-mapped arena, so they may exceed memory)."""
 
-from .arena import ArenaConfig, CoverageArena
+from .arena import CoverageArena
 from .coverage import (
     CoverageStore,
     CoverageView,
@@ -16,7 +16,6 @@ from .trie_index import CorpusIndex, IndexNode
 from .hierarchy import RuleHierarchy
 
 __all__ = [
-    "ArenaConfig",
     "CoverageArena",
     "CoverageStore",
     "CoverageView",

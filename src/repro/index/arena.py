@@ -43,7 +43,6 @@ import json
 import os
 import tempfile
 import weakref
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -59,32 +58,6 @@ HEADER_SIZE = 4096
 
 VALUES_DTYPE = np.dtype("<i4")
 OFFSETS_DTYPE = np.dtype("<i8")
-
-DEFAULT_BITSET_CACHE_BYTES = 8 << 20
-"""Default LRU byte budget for lazily materialized packed bitsets (8 MiB)."""
-
-
-@dataclass(frozen=True)
-class ArenaConfig:
-    """Tuning knobs for an arena-backed coverage store.
-
-    Attributes:
-        path: Arena file location. ``None`` creates an unlinked-on-close
-            temporary file — convenient for ``run --coverage-backend arena``
-            without a dedicated path, but such arenas cannot be reattached
-            after the process exits (checkpoints record the temp path and
-            fail loudly on resume; pass a real path for durable runs).
-        bitset_cache_bytes: LRU byte budget for packed bitsets materialized
-            on the ``top_by_overlap``/benefit fast paths. ``0`` disables the
-            bitset fast path entirely (merge intersections only).
-    """
-
-    path: Optional[str] = None
-    bitset_cache_bytes: int = DEFAULT_BITSET_CACHE_BYTES
-
-    def __post_init__(self) -> None:
-        if self.bitset_cache_bytes < 0:
-            raise ConfigurationError("bitset_cache_bytes must be non-negative")
 
 
 def _content_digest(values_digest: "hashlib._Hash", offsets: np.ndarray) -> str:
@@ -134,7 +107,13 @@ class CoverageArena:
     # -------------------------------------------------------------- lifecycle
     @classmethod
     def create(cls, path: Optional[str] = None) -> "CoverageArena":
-        """Create a fresh arena at ``path`` (or a temp file when ``None``)."""
+        """Create a fresh arena at ``path``.
+
+        ``None`` creates an anonymous temporary file that is unlinked once
+        the arena is garbage-collected: it cannot be reattached after that,
+        so checkpoints over it carry the columns inline (see
+        :attr:`temporary`).
+        """
         owns_temp = path is None
         if path is None:
             handle, path = tempfile.mkstemp(prefix="repro-arena-", suffix=".bin")
@@ -307,6 +286,11 @@ class CoverageArena:
         return self._file is None or self._file.closed
 
     @property
+    def temporary(self) -> bool:
+        """True for an anonymous temp-file arena (unlinked when dropped)."""
+        return self._temp_finalizer is not None
+
+    @property
     def read_only(self) -> bool:
         """True when attached without write access (multi-tenant mode)."""
         return self._read_only
@@ -461,13 +445,16 @@ class CoverageArena:
             if not self._read_only:
                 self._file.flush()
             count = self.num_values
+            # A plain ndarray view over the read-only mapping: slices of it
+            # skip np.memmap's Python-level __getitem__/__array_finalize__
+            # on every coverage operation, and still pin the mapping.
             self._values_map = np.memmap(
                 self.path,
                 dtype=VALUES_DTYPE,
                 mode="r",
                 offset=HEADER_SIZE,
                 shape=(count,),
-            )
+            ).view(np.ndarray)
             self._values_map.flags.writeable = False
             self._mapped_values = count
         return self._values_map

@@ -21,25 +21,25 @@ with a single columnar layer:
   ``==`` against plain sets) keep working unchanged — while hot paths use the
   vectorized primitives ``intersect_count``, ``subtract``, ``union_into``,
   ``overlap_with`` and ``new_ids_given`` instead of per-id Python loops.
-* Dense coverages additionally cache a packed bitset (``numpy.packbits``), so
-  intersect counts between two dense views are a few ``bitwise_and`` +
-  popcount instructions per 64 sentences instead of a hash probe per id.
 
-Backends
---------
+Storage
+-------
 
-The store supports two backends behind the same :class:`CoverageView` handle:
+The interned arrays of a :class:`CoverageStore` live in a memory-mapped
+:class:`~repro.index.arena.CoverageArena` file, and ``view.ids`` is a
+**zero-copy mmap slice**: the OS page cache decides which coverage bytes are
+resident, so corpora larger than RAM stay queryable. The arena is either a
+caller-named file, which outlives the process (a fleet maps one such file
+from every worker), or an anonymous temporary file, unlinked once the arena
+is dropped. A tenant's :class:`~repro.index.overlay.OverlayCoverageStore`
+layers its own interns, on the heap, over a shared store.
 
-* ``backend="memory"`` (default) — interned arrays live on the Python heap,
-  exactly as before.
-* ``backend="arena"`` — interned arrays live in a memory-mapped
-  :class:`~repro.index.arena.CoverageArena` file; ``view.ids`` is a
-  **zero-copy mmap slice**, so the OS page cache decides which coverage
-  bytes are resident and corpora larger than RAM stay queryable. Packed
-  bitsets (the dense fast path) are materialized lazily into an LRU cache
-  bounded by :attr:`~repro.index.arena.ArenaConfig.bitset_cache_bytes`, so
-  resident memory stays O(cache budget) while ``top_by_overlap``/benefit
-  keep their columnar speed.
+Checkpoints follow the arena's durability. A store over a named arena
+writes a **reference** (path + content digest) and reattaches the file on
+restore. A store over a temporary arena writes its columns **inline** (one
+values + offsets CSR pair), because the file is gone by the time the
+checkpoint is loaded; inline states restore into a fresh temporary arena
+with slot order kept.
 
 Migration notes
 ---------------
@@ -50,31 +50,25 @@ accepts either (views are kept as-is, avoiding a copy). ``CorpusIndex``
 seals node id-sets into interned views once construction finishes; code that
 mutates ``IndexNode.sentence_ids`` after sealing must go through
 ``CorpusIndex.add_sketch`` (which transparently un-seals).
+
+Checkpoints written by builds that still had the heap-only ``"memory"``
+backend load unchanged: ``IndexConfig.from_dict`` drops its retired
+settings, and a ``"memory"``-tagged state is read as an inline one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from collections import OrderedDict
 from collections.abc import Set as AbstractSet
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .arena import ArenaConfig, CoverageArena
+from .arena import CoverageArena
 
 IdsLike = Union["CoverageView", Iterable[int], np.ndarray]
-
-_EMPTY_IDS = np.empty(0, dtype=np.int32)
-_EMPTY_IDS.setflags(write=False)
-
-# A view caches a packed bitset once its density over the store's universe
-# exceeds this fraction; below it, merge-style array intersections win.
-DENSE_BITSET_DENSITY = 1.0 / 64.0
-
-COVERAGE_BACKENDS = ("memory", "arena")
 
 
 def _as_sorted_ids(ids: IdsLike) -> np.ndarray:
@@ -95,13 +89,6 @@ def _as_sorted_ids(ids: IdsLike) -> np.ndarray:
     return array
 
 
-def _popcount(bits: np.ndarray) -> int:
-    """Total number of set bits in a packed ``uint8`` array."""
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return int(np.bitwise_count(bits).sum())
-    return int(np.unpackbits(bits).sum())
-
-
 class CoverageView(AbstractSet):
     """Immutable handle over one interned coverage set.
 
@@ -109,25 +96,23 @@ class CoverageView(AbstractSet):
     :class:`collections.abc.Set`, so comparisons and binary operators against
     plain sets work, and its hash equals ``frozenset``'s for the same ids)
     while exposing vectorized primitives for the hot paths. The backing id
-    array may live on the heap or be a zero-copy slice of a memory-mapped
-    :class:`~repro.index.arena.CoverageArena` — callers cannot tell the
-    difference.
+    array is a zero-copy slice of a memory-mapped
+    :class:`~repro.index.arena.CoverageArena` or, for a tenant overlay's own
+    interns, a heap array — callers cannot tell the difference.
     """
 
-    __slots__ = ("_ids", "_store", "_slot", "_hash", "_bits", "_bits_universe")
+    __slots__ = ("_ids", "_store", "_slot", "_hash")
 
     def __init__(
         self,
         ids: np.ndarray,
-        store: Optional["CoverageStore"] = None,
+        store: Optional["_InternTable"] = None,
         slot: Optional[int] = None,
     ) -> None:
         self._ids = ids
         self._store = store
         self._slot = slot
         self._hash: Optional[int] = None
-        self._bits: Optional[np.ndarray] = None
-        self._bits_universe = -1
 
     # ------------------------------------------------------------- columnar
     @property
@@ -141,7 +126,7 @@ class CoverageView(AbstractSet):
         return int(self._ids.size)
 
     @property
-    def store(self) -> Optional["CoverageStore"]:
+    def store(self) -> Optional["_InternTable"]:
         """The interning store this view belongs to (None for free views)."""
         return self._store
 
@@ -150,52 +135,13 @@ class CoverageView(AbstractSet):
         """This view's interning slot in its store (None for free views)."""
         return self._slot
 
-    def _packed_bits(self) -> Optional[np.ndarray]:
-        """Packed bitset over the store's universe, cached when dense enough.
-
-        Stores with a bitset byte budget (the arena backend) own the cache:
-        bitsets are materialized lazily and evicted LRU so resident memory
-        stays bounded. Budget-less stores keep the original per-view cache,
-        keyed to the universe size it was packed under: if the store's
-        universe has grown since (e.g. the index was extended and re-sealed),
-        the bitset is re-packed so two views always produce equal-length bit
-        arrays.
-        """
-        store = self._store
-        if store is None or not self._ids.size:
-            return None
-        if store.bitset_cache_budget is not None:
-            return store._packed_bits_for(self)
-        universe = store.universe_size
-        if self._bits is not None and self._bits_universe == universe:
-            return self._bits
-        if universe <= 0 or int(self._ids[-1]) >= universe:
-            return None
-        if self._ids.size < universe * DENSE_BITSET_DENSITY:
-            self._bits = None
-            return None
-        mask = np.zeros(universe, dtype=bool)
-        mask[self._ids] = True
-        self._bits = np.packbits(mask)
-        self._bits_universe = universe
-        return self._bits
-
     def intersect_count(self, other: IdsLike) -> int:
         """``|C ∩ other|`` without materializing the intersection."""
         if isinstance(other, np.ndarray) and other.dtype == np.bool_:
             return self.overlap_with(other)
-        if isinstance(other, CoverageView):
-            if other is self:
-                return self.count
-            mine, theirs = self._packed_bits(), other._packed_bits()
-            # Equal lengths only: views from different stores (e.g. a shared
-            # base and a tenant overlay) may pack against different universe
-            # sizes — fall back to the merge path rather than misalign bits.
-            if mine is not None and theirs is not None and mine.size == theirs.size:
-                return _popcount(np.bitwise_and(mine, theirs))
-            a, b = self._ids, other._ids
-        else:
-            a, b = self._ids, _as_sorted_ids(other)
+        if other is self:
+            return self.count
+        a, b = self._ids, _as_sorted_ids(other)
         if not a.size or not b.size:
             return 0
         if a.size > b.size:
@@ -298,109 +244,41 @@ class CoverageView(AbstractSet):
         return f"CoverageView({{{preview}{suffix}}}, n={self._ids.size})"
 
 
-class CoverageStore:
-    """Interning store for coverage sets over a sentence-id universe.
+class _InternTable:
+    """View and dedup bookkeeping shared by every interning store.
 
-    Each distinct coverage is held exactly once; :meth:`intern` returns the
-    shared :class:`CoverageView` for its contents, so identical coverages are
-    identical objects (``a is b``) and caches may key by ``id(view)``.
-
-    Args:
-        universe_size: Number of sentences (ids are ``0 .. universe_size-1``).
-            May be grown later with :meth:`ensure_universe`; the universe only
-            gates bitset acceleration, not correctness.
-        backend: ``"memory"`` (heap arrays, the default) or ``"arena"``
-            (arrays live in a memory-mapped :class:`CoverageArena` file and
-            views are zero-copy mmap slices).
-        path: Arena file location for ``backend="arena"``. An existing arena
-            file is reattached; a missing one is created. ``None`` defers to
-            ``arena_config.path`` (and ultimately to a temporary file).
-        arena_config: :class:`~repro.index.arena.ArenaConfig` tuning (bitset
-            cache budget, default path).
-        create: Force a **fresh** arena, truncating any existing file at the
-            path instead of attaching to it. Index builds pass this: adopting
-            a stale arena's slots into a new build would inflate the universe
-            (silently disabling the bitset fast path) and grow the file
-            without bound across reruns.
+    Holds the interned views in slot order and a dedup map keyed by a
+    128-bit BLAKE2b digest of each sorted ``int32`` id array — hashed in
+    place, so a store whose columns live in an arena never copies them onto
+    the heap just to dedup. :class:`CoverageStore` owns an arena beneath
+    this table; :class:`~repro.index.overlay.OverlayCoverageStore` keeps a
+    tenant's interns on the heap over a shared store. Subclasses provide
+    ``intern``, which the mask helpers below route through.
     """
 
-    def __init__(
-        self,
-        universe_size: int = 0,
-        backend: str = "memory",
-        path: Optional[str] = None,
-        arena_config: Optional[ArenaConfig] = None,
-        create: bool = False,
-        _arena: Optional[CoverageArena] = None,
-    ) -> None:
-        if backend not in COVERAGE_BACKENDS:
-            raise ConfigurationError(
-                f"unknown coverage backend {backend!r}; expected one of "
-                f"{', '.join(COVERAGE_BACKENDS)}"
-            )
-        self.backend = backend
+    def __init__(self, universe_size: int = 0) -> None:
         self._universe = int(universe_size)
         self._views: List[CoverageView] = []
         self._by_key: Dict[bytes, int] = {}
-        self._arena: Optional[CoverageArena] = None
-        self._bitset_budget: Optional[int] = None
-        self._bitset_cache: "OrderedDict[int, Tuple[np.ndarray, int]]" = OrderedDict()
-        self._bitset_cache_bytes = 0
-        self._bitset_hits = 0
-        self._bitset_misses = 0
-        self._bitset_evictions = 0
-        if backend == "arena":
-            config = arena_config or ArenaConfig()
-            self._bitset_budget = int(config.bitset_cache_bytes)
-            if _arena is not None:
-                self._arena = _arena
-            else:
-                target = path if path is not None else config.path
-                if not create and target is not None and os.path.exists(target):
-                    self._arena = CoverageArena.open(target)
-                else:
-                    self._arena = CoverageArena.create(target)
-            self._adopt_arena_slots()
-        self.empty = self.intern(())
 
-    def _adopt_arena_slots(self) -> None:
-        """Register views for every slot already present in the arena.
+    @staticmethod
+    def _key_of(array: np.ndarray) -> bytes:
+        """Dedup key for one normalized (sorted ``int32``) coverage array."""
+        return hashlib.blake2b(
+            np.ascontiguousarray(array, dtype=np.int32), digest_size=16
+        ).digest()
 
-        Runs once at attach time: one sequential pass over the mapped values
-        column computes each slot's dedup digest and the universe bound.
-        The digests hash the mmap slices in place (no per-slot heap copy),
-        so the pass streams through the page cache the digest verification
-        in :meth:`CoverageArena.open` just warmed.
-        """
-        arena = self._arena
-        assert arena is not None
-        max_id = -1
-        for slot in range(arena.num_interned):
-            ids = arena.values_slice(slot)
-            view = CoverageView(ids, store=self, slot=slot)
-            self._views.append(view)
-            self._by_key.setdefault(self._key_of(ids), slot)
-            if ids.size:
-                max_id = max(max_id, int(ids[-1]))
-        if max_id >= 0:
-            self.ensure_universe(max_id + 1)
+    def _register(self, key: bytes, view: CoverageView) -> CoverageView:
+        """Append ``view`` as the next local slot under dedup ``key``."""
+        self._by_key[key] = len(self._views)
+        self._views.append(view)
+        return view
 
-    def _key_of(self, array: np.ndarray) -> bytes:
-        """Dedup key for one normalized (sorted ``int32``) coverage array.
+    def _lookup(self, key: bytes) -> Optional[CoverageView]:
+        """The view interned under dedup ``key``, else None."""
+        position = self._by_key.get(key)
+        return self._views[position] if position is not None else None
 
-        The memory backend keys by the raw bytes themselves (exact). The
-        arena backend keys by a 128-bit BLAKE2b digest of the array buffer —
-        computed without copying the column onto the heap — so the dedup map
-        stays O(digest) per distinct coverage instead of keeping every
-        column resident, the whole point of spilling columns to the arena.
-        """
-        if self._arena is not None:
-            return hashlib.blake2b(
-                np.ascontiguousarray(array, dtype=np.int32), digest_size=16
-            ).digest()
-        return array.tobytes()
-
-    # ----------------------------------------------------------------- admin
     @property
     def universe_size(self) -> int:
         """Current sentence-id universe size."""
@@ -411,123 +289,14 @@ class CoverageStore:
         """Number of distinct coverage sets interned (including empty)."""
         return len(self._views)
 
-    @property
-    def bytes_interned(self) -> int:
-        """Total bytes held by the interned id arrays.
-
-        For the arena backend this is the on-disk values column size; the
-        heap-resident footprint is :attr:`resident_coverage_bytes`.
-        """
-        return sum(view.ids.nbytes for view in self._views)
-
-    @property
-    def arena(self) -> Optional[CoverageArena]:
-        """The backing arena (None for the memory backend)."""
-        return self._arena
-
-    @property
-    def bitset_cache_budget(self) -> Optional[int]:
-        """LRU byte budget for packed bitsets (None = unbounded per-view)."""
-        return self._bitset_budget
-
-    @property
-    def resident_coverage_bytes(self) -> int:
-        """Heap bytes pinned by coverage data (excludes mmap'd columns).
-
-        Memory backend: the interned arrays themselves. Arena backend: the
-        bitset LRU cache plus the offsets column — the values column lives in
-        the file and is only resident at the OS page cache's discretion.
-        """
-        if self._arena is not None:
-            return self._bitset_cache_bytes + (self.num_interned + 1) * 8
-        return self.bytes_interned + self._bitset_cache_bytes
-
     def ensure_universe(self, size: int) -> None:
         """Grow the universe to at least ``size`` sentences."""
         if size > self._universe:
             self._universe = int(size)
-            if self._bitset_budget is not None and self._bitset_cache:
-                # Budgeted bitsets are keyed to the universe they were packed
-                # under; a grown universe invalidates them all at once.
-                self._bitset_cache.clear()
-                self._bitset_cache_bytes = 0
 
-    # ------------------------------------------------------------- interning
-    def intern(self, ids: IdsLike) -> CoverageView:
-        """The unique view for ``ids`` (created on first sight)."""
-        if isinstance(ids, CoverageView) and ids.store is self:
-            return ids
-        array = _as_sorted_ids(ids)
-        key = self._key_of(array)
-        slot = self._by_key.get(key)
-        if slot is not None:
-            return self._views[slot]
-        if array.size:
-            self.ensure_universe(int(array[-1]) + 1)
-        if self._arena is not None:
-            new_slot = self._arena.append(array)
-            view = CoverageView(
-                self._arena.values_slice(new_slot), store=self, slot=new_slot
-            )
-        else:
-            view = CoverageView(array, store=self, slot=len(self._views))
-        self._by_key[key] = len(self._views)
-        self._views.append(view)
-        return view
-
-    def intern_many(self, ids_list: Sequence[IdsLike]) -> List[CoverageView]:
-        """Intern several coverages with one backend write; returns views.
-
-        On the arena backend all new coverages are appended as **one**
-        contiguous values segment (column concatenation, offsets rebased onto
-        the current extent) — this is what :meth:`CorpusIndex.seal` and the
-        parallel shard-arena merge call, keeping the number of file writes
-        O(batches) instead of O(coverages).
-        """
-        resolved: List[Optional[CoverageView]] = []
-        keys: List[Optional[bytes]] = []
-        new_order: List[bytes] = []
-        new_arrays: Dict[bytes, np.ndarray] = {}
-        for ids in ids_list:
-            if isinstance(ids, CoverageView) and ids.store is self:
-                resolved.append(ids)
-                keys.append(None)
-                continue
-            array = _as_sorted_ids(ids)
-            key = self._key_of(array)
-            if key in self._by_key:
-                resolved.append(self._views[self._by_key[key]])
-                keys.append(None)
-                continue
-            resolved.append(None)
-            keys.append(key)
-            if key not in new_arrays:
-                new_arrays[key] = array
-                new_order.append(key)
-        if new_order:
-            arrays = [new_arrays[key] for key in new_order]
-            max_id = max(
-                (int(a[-1]) for a in arrays if a.size), default=-1
-            )
-            if max_id >= 0:
-                self.ensure_universe(max_id + 1)
-            if self._arena is not None:
-                slots = self._arena.append_many(arrays)
-                for key, slot in zip(new_order, slots):
-                    view = CoverageView(
-                        self._arena.values_slice(slot), store=self, slot=slot
-                    )
-                    self._by_key[key] = len(self._views)
-                    self._views.append(view)
-            else:
-                for key, array in zip(new_order, arrays):
-                    view = CoverageView(array, store=self, slot=len(self._views))
-                    self._by_key[key] = len(self._views)
-                    self._views.append(view)
-        return [
-            view if view is not None else self._views[self._by_key[keys[i]]]
-            for i, view in enumerate(resolved)
-        ]
+    def interned_views(self) -> list:
+        """The interned views in insertion order (slot order for checkpoints)."""
+        return list(self._views)
 
     def from_mask(self, mask: np.ndarray) -> CoverageView:
         """Intern the coverage flagged in a boolean ``mask``."""
@@ -553,129 +322,135 @@ class CoverageStore:
 
     def mask_of(self, ids: IdsLike) -> np.ndarray:
         """A boolean membership mask with ``ids`` flagged."""
+        return membership_mask(ids, self._universe)
+
+
+class CoverageStore(_InternTable):
+    """Interning store for coverage sets, backed by a memory-mapped arena.
+
+    Each distinct coverage is held exactly once; :meth:`intern` returns the
+    shared :class:`CoverageView` for its contents, so identical coverages are
+    identical objects (``a is b``) and caches may key by ``id(view)``.
+
+    Args:
+        universe_size: Number of sentences (ids are ``0 .. universe_size-1``).
+            May be grown later with :meth:`ensure_universe`; it sizes the
+            membership masks, interning never depends on it.
+        path: Arena file location. An existing arena file is reattached; a
+            missing one is created. ``None`` creates an anonymous temporary
+            arena, unlinked once it is dropped.
+        create: Force a **fresh** arena, truncating any existing file at the
+            path instead of attaching to it. Index builds pass this: adopting
+            a stale arena's slots into a new build would inflate the universe
+            and grow the file without bound across reruns.
+    """
+
+    def __init__(
+        self,
+        universe_size: int = 0,
+        path: Optional[str] = None,
+        create: bool = False,
+        _arena: Optional[CoverageArena] = None,
+    ) -> None:
+        super().__init__(universe_size)
+        if _arena is None:
+            if not create and path is not None and os.path.exists(path):
+                _arena = CoverageArena.open(path)
+            else:
+                _arena = CoverageArena.create(path)
+        self._arena = _arena
+        self._adopt_arena_slots()
+        self.empty = self.intern(())
+
+    def _adopt_arena_slots(self) -> None:
+        """Register views for every slot already present in the arena.
+
+        Runs once at attach time: one sequential pass over the mapped values
+        column computes each slot's dedup digest and the universe bound.
+        The digests hash the mmap slices in place (no per-slot heap copy),
+        so the pass streams through the page cache the digest verification
+        in :meth:`CoverageArena.open` just warmed.
+        """
+        arena = self._arena
+        max_id = -1
+        for slot in range(arena.num_interned):
+            view = self._slot_view(slot)
+            self._views.append(view)
+            self._by_key.setdefault(self._key_of(view.ids), slot)
+            if view.count:
+                max_id = max(max_id, int(view.ids[-1]))
+        if max_id >= 0:
+            self.ensure_universe(max_id + 1)
+
+    def _slot_view(self, slot: int) -> CoverageView:
+        """A view over arena ``slot`` (a zero-copy mmap slice)."""
+        return CoverageView(self._arena.values_slice(slot), store=self, slot=slot)
+
+    # ----------------------------------------------------------------- admin
+    @property
+    def bytes_interned(self) -> int:
+        """On-disk bytes of the interned id arrays (the values column); the
+        heap-resident footprint is :attr:`resident_coverage_bytes`."""
+        return self._arena.values_bytes
+
+    @property
+    def arena(self) -> CoverageArena:
+        """The backing arena."""
+        return self._arena
+
+    @property
+    def resident_coverage_bytes(self) -> int:
+        """Heap bytes pinned by coverage data: the offsets column only — the
+        values column lives in the file and is resident at the OS page
+        cache's discretion."""
+        return (self.num_interned + 1) * 8
+
+    # ------------------------------------------------------------- interning
+    def intern(self, ids: IdsLike) -> CoverageView:
+        """The unique view for ``ids`` (created on first sight)."""
+        if isinstance(ids, CoverageView) and ids.store is self:
+            return ids
         array = _as_sorted_ids(ids)
-        size = max(self._universe, int(array[-1]) + 1 if array.size else 1)
-        mask = np.zeros(size, dtype=bool)
+        key = self._key_of(array)
+        known = self._lookup(key)
+        if known is not None:
+            return known
         if array.size:
-            mask[array] = True
-        return mask
+            self.ensure_universe(int(array[-1]) + 1)
+        return self._register(key, self._slot_view(self._arena.append(array)))
 
-    # ------------------------------------------------------ budgeted bitsets
-    def _packed_bits_for(self, view: CoverageView) -> Optional[np.ndarray]:
-        """Packed bitset for ``view`` under the LRU byte budget.
+    def intern_many(self, ids_list: Sequence[IdsLike]) -> List[CoverageView]:
+        """Intern several coverages with one arena write; returns views.
 
-        Returns None when the view is too sparse for the bitset fast path
-        (the caller falls back to merge intersections). A bitset larger than
-        the whole budget is computed but never cached, so one giant coverage
-        cannot pin the budget.
+        All new coverages are appended as **one** contiguous values segment
+        (column concatenation, offsets rebased onto the current extent) —
+        this is what :meth:`CorpusIndex.seal` and the parallel shard-arena
+        merge call, keeping the number of file writes O(batches) instead of
+        O(coverages).
         """
-        budget = self._bitset_budget
-        if budget is not None and budget <= 0:
-            return None
-        ids = view._ids
-        slot = view._slot
-        if slot is None or not ids.size:
-            return None
-        universe = self._universe
-        if universe <= 0 or int(ids[-1]) >= universe:
-            return None
-        if ids.size < universe * DENSE_BITSET_DENSITY:
-            return None
-        entry = self._bitset_cache.get(slot)
-        if entry is not None:
-            bits, packed_universe = entry
-            if packed_universe == universe:
-                self._bitset_cache.move_to_end(slot)
-                self._bitset_hits += 1
-                return bits
-            del self._bitset_cache[slot]
-            self._bitset_cache_bytes -= bits.nbytes
-        mask = np.zeros(universe, dtype=bool)
-        mask[ids] = True
-        bits = np.packbits(mask)
-        self._bitset_misses += 1
-        if budget is None or bits.nbytes <= budget:
-            self._bitset_cache[slot] = (bits, universe)
-            self._bitset_cache_bytes += bits.nbytes
-            while (
-                budget is not None
-                and self._bitset_cache_bytes > budget
-                and len(self._bitset_cache) > 1
-            ):
-                _, (evicted, _) = self._bitset_cache.popitem(last=False)
-                self._bitset_cache_bytes -= evicted.nbytes
-                self._bitset_evictions += 1
-        return bits
-
-    def bitset_cache_stats(self) -> Dict[str, float]:
-        """Budget, residency and hit-rate counters for the bitset cache."""
-        return {
-            "budget_bytes": float(self._bitset_budget or 0),
-            "cached_bytes": float(self._bitset_cache_bytes),
-            "cached_entries": float(len(self._bitset_cache)),
-            "hits": float(self._bitset_hits),
-            "misses": float(self._bitset_misses),
-            "evictions": float(self._bitset_evictions),
-        }
-
-    # -------------------------------------------------------- state protocol
-    def interned_views(self) -> list:
-        """The interned views in insertion order (slot order for checkpoints)."""
-        return list(self._views)
-
-    def flush(self) -> None:
-        """Persist the backing arena (no-op for the memory backend)."""
-        if self._arena is not None:
-            self._arena.flush()
-
-    def close(self) -> None:
-        """Release the backing arena and the bitset cache. Idempotent.
-
-        Interned views stay readable (they hold their own reference to the
-        arena's memory map), but the store stops pinning the mapping and the
-        file handle — the half of the strict-unlink contract the store owns.
-        The memory backend only drops its bitset cache.
-        """
-        if self._arena is not None:
-            self._arena.close()
-        self._bitset_cache.clear()
-        self._bitset_cache_bytes = 0
-
-    def detach_arena(self) -> None:
-        """Release the arena mapping for a cross-process handoff (pre-fork).
-
-        Closes the arena's descriptor and mapping and rebinds every interned
-        view to a dormant state, so nothing in this process — and nothing a
-        forked child inherits — pins the parent's mmap. Coverage reads raise
-        until :meth:`reattach_arena` runs (in the child, against a fresh
-        mapping of the same file). No-op for the memory backend.
-        """
-        if self._arena is None or self._arena.closed:
-            return
-        self._arena.detach()
-        for view in self._views:
-            # Dormant marker: any accidental read fails loudly (`None` has
-            # no `.size`) instead of serving stale mapped bytes.
-            view._ids = None
-            view._bits = None
-            view._bits_universe = -1
-        self._bitset_cache.clear()
-        self._bitset_cache_bytes = 0
-
-    def reattach_arena(self) -> None:
-        """Re-map the arena by path and rebind every view (post-spawn half).
-
-        Each view's id array becomes a zero-copy slice of the *fresh*
-        mapping, digest-verified by :meth:`CoverageArena.reattach` — the
-        worker-process counterpart of :meth:`detach_arena`. Idempotent; a
-        no-op for the memory backend.
-        """
-        if self._arena is None:
-            return
-        self._arena.reattach()
-        for slot, view in enumerate(self._views):
-            if view._ids is None:
-                view._ids = self._arena.values_slice(slot)
+        resolved: List[Tuple[Optional[CoverageView], Optional[bytes]]] = []
+        pending: Dict[bytes, np.ndarray] = {}
+        for ids in ids_list:
+            if isinstance(ids, CoverageView) and ids.store is self:
+                resolved.append((ids, None))
+                continue
+            array = _as_sorted_ids(ids)
+            key = self._key_of(array)
+            known = self._lookup(key)
+            if known is None:
+                pending.setdefault(key, array)
+            resolved.append((known, key))
+        if pending:
+            arrays = list(pending.values())
+            max_id = max((int(a[-1]) for a in arrays if a.size), default=-1)
+            if max_id >= 0:
+                self.ensure_universe(max_id + 1)
+            for key, slot in zip(pending, self._arena.append_many(arrays)):
+                self._register(key, self._slot_view(slot))
+        return [
+            view if view is not None else self._lookup(key)
+            for view, key in resolved
+        ]
 
     def find(self, ids: IdsLike) -> Optional[CoverageView]:
         """The interned view for ``ids`` if one exists, else None (no intern).
@@ -685,89 +460,113 @@ class CoverageStore:
         """
         if isinstance(ids, CoverageView) and ids.store is self:
             return ids
-        array = _as_sorted_ids(ids)
-        slot = self._by_key.get(self._key_of(array))
-        return self._views[slot] if slot is not None else None
+        return self._lookup(self._key_of(_as_sorted_ids(ids)))
 
+    # ------------------------------------------------------------- lifecycle
+    def flush(self) -> None:
+        """Persist the backing arena."""
+        self._arena.flush()
+
+    def close(self) -> None:
+        """Release the backing arena. Idempotent.
+
+        Interned views stay readable (they hold their own reference to the
+        arena's memory map), but the store stops pinning the mapping and the
+        file handle — the half of the strict-unlink contract the store owns.
+        """
+        self._arena.close()
+
+    def detach_arena(self) -> None:
+        """Release the arena mapping for a cross-process handoff (pre-fork).
+
+        Closes the arena's descriptor and mapping and rebinds every interned
+        view to a dormant state, so nothing in this process — and nothing a
+        forked child inherits — pins the parent's mmap. Coverage reads raise
+        until :meth:`reattach_arena` runs (in the child, against a fresh
+        mapping of the same file).
+        """
+        if self._arena.closed:
+            return
+        self._arena.detach()
+        for view in self._views:
+            # Dormant marker: any accidental read fails loudly (`None` has
+            # no `.size`) instead of serving stale mapped bytes.
+            view._ids = None
+
+    def reattach_arena(self) -> None:
+        """Re-map the arena by path and rebind every view (post-spawn half).
+
+        Each view's id array becomes a zero-copy slice of the *fresh*
+        mapping, digest-verified by :meth:`CoverageArena.reattach` — the
+        worker-process counterpart of :meth:`detach_arena`. Idempotent.
+        """
+        self._arena.reattach()
+        for slot, view in enumerate(self._views):
+            if view._ids is None:
+                view._ids = self._arena.values_slice(slot)
+
+    # -------------------------------------------------------- state protocol
     def to_state(self, bundle, prefix: str = "coverage/") -> Dict[str, object]:
-        """Serialize the interned coverages.
+        """Serialize the interned coverages; the encoding follows the arena.
 
-        Memory backend: the distinct coverages are concatenated into a single
-        ``int32`` values array plus an ``int64`` offsets array (CSR layout);
-        slot ``i`` is ``values[offsets[i]:offsets[i+1]]``, in interning order,
-        so other layers can reference coverages by slot index.
-
-        Arena backend: the columns already live in the arena file, so the
+        Named arena: the columns already live in a durable file, so the
         state is a **reference** — the arena path plus a content digest —
         instead of a re-serialized copy; :meth:`from_state` reattaches the
         file and verifies the digest. The checkpoint stays O(manifest) no
         matter how large the coverage columns are.
 
+        Temporary arena: the file dies with the process, so the distinct
+        coverages are written **inline** as one ``int32`` values array plus
+        an ``int64`` offsets array (CSR layout); slot ``i`` is
+        ``values[offsets[i]:offsets[i+1]]``, in interning order, so other
+        layers can reference coverages by slot index.
+
         Args:
             bundle: :class:`repro.engine.state.ArrayBundle` receiving arrays.
             prefix: Namespace for the bundle keys.
         """
-        if self._arena is not None:
-            self._arena.flush()
+        arena = self._arena
+        if arena.temporary:
             return {
                 "universe_size": int(self._universe),
                 "num_interned": self.num_interned,
-                "backend": "arena",
-                "arena": {
-                    "path": os.path.abspath(self._arena.path),
-                    "digest": self._arena.digest,
-                    "num_interned": self._arena.num_interned,
-                    "num_values": self._arena.num_values,
-                    "read_only": self._arena.read_only,
-                },
+                "backend": "inline",
+                **_columns_to_state(self._views, bundle, prefix),
             }
-        views = self._views
-        offsets = np.zeros(len(views) + 1, dtype=np.int64)
-        for position, view in enumerate(views):
-            offsets[position + 1] = offsets[position] + view.ids.size
-        values = (
-            np.concatenate([view.ids for view in views])
-            if views and int(offsets[-1])
-            else np.empty(0, dtype=np.int32)
-        )
+        arena.flush()
         return {
             "universe_size": int(self._universe),
-            "num_interned": len(views),
-            "backend": "memory",
-            "values": bundle.put(prefix + "values", values.astype(np.int32, copy=False)),
-            "offsets": bundle.put(prefix + "offsets", offsets),
+            "num_interned": self.num_interned,
+            "backend": "arena",
+            "arena": {
+                "path": os.path.abspath(arena.path),
+                "digest": arena.digest,
+                "num_interned": arena.num_interned,
+                "num_values": arena.num_values,
+                "read_only": arena.read_only,
+            },
         }
 
     @classmethod
-    def from_state(
-        cls,
-        state: Dict[str, object],
-        bundle,
-        arena_config: Optional[ArenaConfig] = None,
-    ) -> "CoverageStore":
+    def from_state(cls, state: Dict[str, object], bundle) -> "_InternTable":
         """Rebuild a store from :meth:`to_state` output.
 
         Arena references are reattached in place (the file is opened and its
         content digest verified — a missing, truncated, or modified arena
-        raises :class:`~repro.errors.ConfigurationError`); inline column
-        states are re-interned as before. Slot order is preserved either
-        way, so ``store.interned_views()[i]`` is the view serialized at slot
-        ``i``.
-
-        Args:
-            state: :meth:`to_state` output.
-            bundle: Array source for inline states.
-            arena_config: Runtime arena tuning (bitset cache budget) applied
-                when reattaching; the arena *path* always comes from the
-                state reference, not the config.
+        raises :class:`~repro.errors.ConfigurationError`); inline states —
+        including the ``"memory"``-tagged ones of the retired heap backend —
+        are re-interned into a fresh temporary arena. Overlay states
+        dispatch to :class:`~repro.index.overlay.OverlayCoverageStore`.
+        Slot order is preserved either way, so
+        ``store.interned_views()[i]`` is the view serialized at slot ``i``.
         """
-        backend = state.get("backend", "memory")
+        backend = state.get("backend", "inline")
         if backend == "overlay":
             from .overlay import OverlayCoverageStore
 
-            return OverlayCoverageStore.from_state(
-                state, bundle, arena_config=arena_config
-            )
+            return OverlayCoverageStore.from_state(state, bundle)
+        recorded = state.get("num_interned")
+        universe = int(state.get("universe_size", 0))
         if backend == "arena":
             reference = state.get("arena")
             if not isinstance(reference, dict) or not reference.get("path"):
@@ -779,68 +578,89 @@ class CoverageStore:
                 expected_digest=reference.get("digest"),
                 read_only=bool(reference.get("read_only", False)),
             )
-            store = cls(
-                universe_size=int(state.get("universe_size", 0)),
-                backend="arena",
-                arena_config=arena_config,
-                _arena=arena,
-            )
-            recorded = state.get("num_interned")
+            store = cls(universe_size=universe, _arena=arena)
             if recorded is not None and int(recorded) != store.num_interned:
                 raise ConfigurationError(
                     f"coverage state records num_interned={recorded} but the "
                     f"arena at {arena.path} holds {store.num_interned} slots"
                 )
             return store
-        if backend != "memory":
+        if backend not in ("inline", "memory"):
             raise ConfigurationError(
                 f"unknown coverage state backend {backend!r}"
             )
-        values = np.asarray(bundle.get(state["values"]), dtype=np.int32)
-        offsets = np.asarray(bundle.get(state["offsets"]), dtype=np.int64)
-        if (
-            offsets.size == 0
-            or int(offsets[0]) != 0
-            or int(offsets[-1]) != values.size
-            or (offsets.size > 1 and bool(np.any(np.diff(offsets) < 0)))
-        ):
-            raise ConfigurationError(
-                "coverage state offsets column is inconsistent with its "
-                "values column"
-            )
-        recorded = state.get("num_interned")
-        if recorded is not None and int(recorded) != offsets.size - 1:
+        slots = _columns_from_state(state, bundle, "coverage state")
+        if recorded is not None and int(recorded) != len(slots):
             # The offsets column is the ground truth for how many coverages
             # were serialized; trusting a disagreeing num_interned used to
             # silently truncate (or overrun) the restored store.
             raise ConfigurationError(
                 f"coverage state records num_interned={recorded} but its "
-                f"offsets column holds {offsets.size - 1} slots"
+                f"offsets column holds {len(slots)} slots"
             )
-        store = cls(universe_size=int(state.get("universe_size", 0)))
-        for position in range(offsets.size - 1):
-            store.intern(values[offsets[position]:offsets[position + 1]])
+        store = cls(universe_size=universe)
+        store.intern_many(slots)
+        if store.num_interned != len(slots):
+            raise ConfigurationError(
+                f"coverage state holds {len(slots)} slots but restores to "
+                f"{store.num_interned} distinct coverages; slot order is lost"
+            )
         return store
 
     def stats(self) -> Dict[str, float]:
         """Summary statistics for diagnostics and benchmarks."""
-        stats = {
+        return {
             "universe_size": float(self._universe),
             "num_interned": float(self.num_interned),
             "bytes_interned": float(self.bytes_interned),
             "resident_coverage_bytes": float(self.resident_coverage_bytes),
         }
-        if self._arena is not None:
-            stats.update(
-                {f"bitset_{k}": v for k, v in self.bitset_cache_stats().items()}
-            )
-        return stats
 
     def __repr__(self) -> str:
         return (
             f"CoverageStore(universe={self._universe}, "
-            f"interned={self.num_interned}, backend={self.backend!r})"
+            f"interned={self.num_interned}, arena={self._arena.path!r})"
         )
+
+
+def _columns_to_state(
+    views: Sequence[CoverageView], bundle, prefix: str
+) -> Dict[str, object]:
+    """Inline CSR columns for ``views``: slot ``i`` is
+    ``values[offsets[i]:offsets[i+1]]``."""
+    offsets = np.zeros(len(views) + 1, dtype=np.int64)
+    for position, view in enumerate(views):
+        offsets[position + 1] = offsets[position] + view.count
+    values = (
+        np.concatenate([view.ids for view in views]).astype(np.int32, copy=False)
+        if int(offsets[-1])
+        else np.empty(0, dtype=np.int32)
+    )
+    return {
+        "values": bundle.put(prefix + "values", values),
+        "offsets": bundle.put(prefix + "offsets", offsets),
+    }
+
+
+def _columns_from_state(
+    state: Dict[str, object], bundle, what: str
+) -> List[np.ndarray]:
+    """The per-slot id arrays of an inline CSR state, validated."""
+    values = np.asarray(bundle.get(state["values"]), dtype=np.int32)
+    offsets = np.asarray(bundle.get(state["offsets"]), dtype=np.int64)
+    if (
+        offsets.size == 0
+        or int(offsets[0]) != 0
+        or int(offsets[-1]) != values.size
+        or (offsets.size > 1 and bool(np.any(np.diff(offsets) < 0)))
+    ):
+        raise ConfigurationError(
+            f"{what} offsets column is inconsistent with its values column"
+        )
+    return [
+        values[offsets[position]:offsets[position + 1]]
+        for position in range(offsets.size - 1)
+    ]
 
 
 def as_id_array(ids: IdsLike) -> np.ndarray:

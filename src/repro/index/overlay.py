@@ -17,7 +17,7 @@ ids ``0 .. base_count-1``, and tenant-local interns are numbered from
 first — a coverage already interned in the shared columns resolves to the
 *shared* view (same object every tenant sees, zero copies) — and only
 genuinely new coverages land in the tenant's side store. The shared
-bitsets/CSR columns are therefore never copied, and nothing a tenant interns
+columns are therefore never copied, and nothing a tenant interns
 can perturb another tenant's views or the shared columns (enforced by the
 read-only arena attach underneath, and property-tested in
 ``tests/test_serving.py``).
@@ -25,33 +25,41 @@ read-only arena attach underneath, and property-tested in
 Checkpoints
 -----------
 
-:meth:`OverlayCoverageStore.to_state` serializes the overlay as a *reference*
-to the base (for an arena base, path + content digest — no column copy) plus
-the tenant-local columns inline, so a tenant checkpoint stays O(what the
-tenant itself added). :meth:`CoverageStore.from_state` dispatches
-``backend == "overlay"`` states back here.
+:meth:`OverlayCoverageStore.to_state` serializes the base with its own
+encoding — for a named arena a *reference* (path + content digest, no column
+copy), for a temporary arena its columns inline — plus the tenant-local
+columns inline. Over a named arena (a fleet, or ``serve --arena-path``) a
+tenant checkpoint therefore stays O(what the tenant itself added).
+:meth:`CoverageStore.from_state` dispatches ``backend == "overlay"`` states
+back here.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..errors import ConfigurationError
-from .coverage import CoverageStore, CoverageView, IdsLike, _as_sorted_ids
+from .coverage import (
+    CoverageStore,
+    CoverageView,
+    IdsLike,
+    _InternTable,
+    _as_sorted_ids,
+    _columns_from_state,
+    _columns_to_state,
+)
 
 
-class OverlayCoverageStore(CoverageStore):
+class OverlayCoverageStore(_InternTable):
     """A tenant-local coverage store layered over a shared read-only base.
 
     Behaves exactly like a :class:`CoverageStore` to callers (interning,
     masks, unions, the state protocol), but :meth:`intern` resolves against
     the shared base first and appends novel coverages to a tenant-local heap
-    side store. The base is never written.
+    side store — never an arena file of its own. The base is never written.
 
     Args:
-        base: The shared store (typically arena-backed and frozen read-only).
+        base: The shared store (its arena frozen read-only by the pool).
             Must not itself be an overlay — one level of layering keeps the
             slot arithmetic trivially correct.
         universe_size: Optional larger universe for the tenant (the base's
@@ -64,18 +72,17 @@ class OverlayCoverageStore(CoverageStore):
                 "overlay stores do not stack: attach every tenant directly "
                 "to the shared base store"
             )
+        super().__init__(max(base.universe_size, int(universe_size)))
         self._base = base
         self._base_count = base.num_interned
         # Intern-routing counters (observability): how many intern() calls
         # resolved against the shared base vs. an existing local view vs.
         # appended a new local view. Plain ints — the coordinator drives each
         # tenant single-threaded, and the pool collector only reads them.
-        # Initialized before super().__init__, which interns the empty view.
         self._shared_routed = 0
         self._local_routed = 0
         self._local_interned = 0
-        super().__init__(universe_size=max(base.universe_size, int(universe_size)))
-        self.backend = "overlay"
+        self.empty = self.intern(())
 
     # ----------------------------------------------------------------- layout
     @property
@@ -110,18 +117,13 @@ class OverlayCoverageStore(CoverageStore):
 
     @property
     def resident_coverage_bytes(self) -> int:
-        """This tenant's *marginal* heap residency: local arrays + bitsets.
+        """This tenant's *marginal* heap residency: its local id arrays.
 
-        Overlay stores have no bitset byte budget, so dense local views cache
-        their packed bitset per view (the memory-backend path) — those bytes
-        are counted here too. The shared base's residency is deliberately
-        excluded: it exists once per pool, not once per tenant, and is
-        accounted by :meth:`repro.serving.TenantPool.memory_stats`.
+        The shared base's residency is deliberately excluded: it exists once
+        per pool, not once per tenant, and is accounted by
+        :meth:`repro.serving.TenantPool.memory_stats`.
         """
-        per_view_bits = sum(
-            view._bits.nbytes for view in self._views if view._bits is not None
-        )
-        return self.overlay_bytes + self._bitset_cache_bytes + per_view_bits
+        return self.overlay_bytes
 
     def interned_views(self) -> list:
         """Base views (slots ``< base_count``) then local views, slot order."""
@@ -136,16 +138,13 @@ class OverlayCoverageStore(CoverageStore):
         """The shared or local view for ``ids`` if interned, else None."""
         if isinstance(ids, CoverageView) and ids.store is self:
             return ids
-        array = _as_sorted_ids(ids)
-        shared = self._resolve_shared(array)
-        if shared is not None:
-            return shared
-        position = self._by_key.get(self._key_of(array))
-        return self._views[position] if position is not None else None
+        key = self._key_of(_as_sorted_ids(ids))
+        shared = self._resolve_shared(key)
+        return shared if shared is not None else self._lookup(key)
 
-    def _resolve_shared(self, array: np.ndarray) -> Optional[CoverageView]:
-        """The base's view for ``array`` when it predates the attach point."""
-        shared = self._base.find(array)
+    def _resolve_shared(self, key: bytes) -> Optional[CoverageView]:
+        """The base's view for ``key`` when it predates the attach point."""
+        shared = self._base._lookup(key)
         if shared is None:
             return None
         if shared.slot is not None and shared.slot >= self._base_count:
@@ -166,24 +165,22 @@ class OverlayCoverageStore(CoverageStore):
                 self._shared_routed += 1
                 return ids
         array = _as_sorted_ids(ids)
-        shared = self._resolve_shared(array)
+        key = self._key_of(array)
+        shared = self._resolve_shared(key)
         if shared is not None:
             self._shared_routed += 1
             return shared
-        key = self._key_of(array)
-        position = self._by_key.get(key)
-        if position is not None:
+        local = self._lookup(key)
+        if local is not None:
             self._local_routed += 1
-            return self._views[position]
+            return local
         self._local_interned += 1
         if array.size:
             self.ensure_universe(int(array[-1]) + 1)
-        view = CoverageView(
-            array, store=self, slot=self._base_count + len(self._views)
+        return self._register(
+            key,
+            CoverageView(array, store=self, slot=self._base_count + len(self._views)),
         )
-        self._by_key[key] = len(self._views)
-        self._views.append(view)
-        return view
 
     def intern_many(self, ids_list: Sequence[IdsLike]) -> List[CoverageView]:
         """Intern several coverages (heap side store — no bulk-write concern)."""
@@ -194,72 +191,42 @@ class OverlayCoverageStore(CoverageStore):
         """No-op: the base is read-only and the overlay lives on the heap."""
 
     def close(self) -> None:
-        """Drop the tenant-local bitset caches (budgeted and per-view). The
-        shared base is untouched — its lifetime belongs to the pool, not to
-        any one tenant."""
-        self._bitset_cache.clear()
-        self._bitset_cache_bytes = 0
-        for view in self._views:
-            view._bits = None
-            view._bits_universe = -1
+        """No-op: the local columns die with the tenant, and the shared base's
+        lifetime belongs to the pool, not to any one tenant."""
 
     # -------------------------------------------------------- state protocol
     def to_state(self, bundle, prefix: str = "coverage/") -> Dict[str, object]:
-        """Serialize as a base *reference* plus inline tenant-local columns.
-
-        For an arena base the reference is path + content digest (see
-        :meth:`CoverageStore.to_state`), so a tenant checkpoint never copies
-        the shared columns; a memory base is inlined as usual under the
-        ``base`` key. Local slots keep their order, so restored overlays are
-        slot-for-slot identical.
-        """
-        views = self._views
-        offsets = np.zeros(len(views) + 1, dtype=np.int64)
-        for position, view in enumerate(views):
-            offsets[position + 1] = offsets[position] + view.ids.size
-        values = (
-            np.concatenate([view.ids for view in views])
-            if views and int(offsets[-1])
-            else np.empty(0, dtype=np.int32)
-        )
+        """Serialize the base (under the ``base`` key, in its own encoding —
+        see :meth:`CoverageStore.to_state`) plus the inline tenant-local
+        columns. Local slots keep their order, so restored overlays are
+        slot-for-slot identical."""
         return {
             "backend": "overlay",
             "universe_size": int(self._universe),
             "num_interned": self.num_interned,
             "base_count": self._base_count,
             "base": self._base.to_state(bundle, prefix + "base/"),
-            "values": bundle.put(
-                prefix + "values", values.astype(np.int32, copy=False)
-            ),
-            "offsets": bundle.put(prefix + "offsets", offsets),
+            **_columns_to_state(self._views, bundle, prefix),
         }
 
     @classmethod
     def from_state(
-        cls, state: Dict[str, object], bundle, arena_config=None
+        cls, state: Dict[str, object], bundle
     ) -> "OverlayCoverageStore":
         """Rebuild an overlay from :meth:`to_state` output.
 
-        The base is reattached first (digest-verified for arena references);
+        The base is restored first (digest-verified for arena references);
         a base whose slot count no longer matches the recorded partition
         point raises :class:`~repro.errors.ConfigurationError`, because every
         node/slot reference in the checkpoint would otherwise be silently
         misaligned.
         """
-        recorded_backend = state.get("backend")
-        if recorded_backend is not None and recorded_backend != "overlay":
-            raise ConfigurationError(
-                f"state records backend {recorded_backend!r}, not an "
-                f"overlay coverage store"
-            )
         base_state = state.get("base")
         if not isinstance(base_state, dict):
             raise ConfigurationError(
                 "overlay coverage state records no base store"
             )
-        base = CoverageStore.from_state(
-            base_state, bundle, arena_config=arena_config
-        )
+        base = CoverageStore.from_state(base_state, bundle)
         return cls.from_state_over(base, state, bundle)
 
     @classmethod
@@ -272,9 +239,9 @@ class OverlayCoverageStore(CoverageStore):
         The tenant-migration path: a fleet worker adopting a checkpointed
         tenant already holds the shared base (same arena every worker maps),
         so the checkpoint's base *reference* is validated against it — slot
-        partition point, and arena content digest when both sides record one
-        — instead of reattaching a second copy from disk. Local columns are
-        re-interned in slot order, so every coverage id the checkpointed
+        partition point, and arena content digest when the checkpoint records
+        one — instead of reattaching a second copy from disk. Local columns
+        are re-interned in slot order, so every coverage id the checkpointed
         Darwin state references stays aligned.
         """
         recorded_backend = state.get("backend")
@@ -291,32 +258,19 @@ class OverlayCoverageStore(CoverageStore):
                 f"{base.num_interned} slots"
             )
         base_state = state.get("base")
-        if isinstance(base_state, dict) and base.arena is not None:
-            reference = base_state.get("arena")
-            if isinstance(reference, dict):
-                digest = reference.get("digest")
-                if digest is not None and digest != base.arena.digest:
-                    raise ConfigurationError(
-                        f"overlay checkpoint references arena digest "
-                        f"{digest} but the attached base arena has "
-                        f"{base.arena.digest}; this tenant belongs to a "
-                        f"different substrate"
-                    )
+        reference = base_state.get("arena") if isinstance(base_state, dict) else None
+        if isinstance(reference, dict):
+            digest = reference.get("digest")
+            if digest is not None and digest != base.arena.digest:
+                raise ConfigurationError(
+                    f"overlay checkpoint references arena digest "
+                    f"{digest} but the attached base arena has "
+                    f"{base.arena.digest}; this tenant belongs to a "
+                    f"different substrate"
+                )
         store = cls(base, universe_size=int(state.get("universe_size", 0)))
-        values = np.asarray(bundle.get(state["values"]), dtype=np.int32)
-        offsets = np.asarray(bundle.get(state["offsets"]), dtype=np.int64)
-        if (
-            offsets.size == 0
-            or int(offsets[0]) != 0
-            or int(offsets[-1]) != values.size
-            or (offsets.size > 1 and bool(np.any(np.diff(offsets) < 0)))
-        ):
-            raise ConfigurationError(
-                "overlay coverage state offsets column is inconsistent with "
-                "its values column"
-            )
-        for position in range(offsets.size - 1):
-            store.intern(values[offsets[position]:offsets[position + 1]])
+        for ids in _columns_from_state(state, bundle, "overlay coverage state"):
+            store.intern(ids)
         recorded = state.get("num_interned")
         if recorded is not None and int(recorded) != store.num_interned:
             raise ConfigurationError(

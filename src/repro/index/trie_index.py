@@ -39,7 +39,7 @@ from ..errors import CorpusIndexError
 from ..grammars.base import Expression, HeuristicGrammar
 from ..rules.heuristic import LabelingHeuristic
 from ..text.corpus import Corpus
-from .arena import ArenaConfig, CoverageArena
+from .arena import CoverageArena
 from .coverage import CoverageStore, CoverageView
 from .nodetable import NodeTable, lexicographic_ranks
 from .sketch import DerivationSketch, SketchKey, build_sketch
@@ -51,53 +51,30 @@ CoverageIds = Union[Set[int], CoverageView]
 """A node's inverted list: a mutable set while building, a view once sealed."""
 
 
-def _build_chunk_index(job) -> "CorpusIndex":
-    """Worker for :meth:`CorpusIndex.build_parallel`: one unpruned chunk index.
-
-    Module-level so multiprocessing can pickle it. The shard is a plain
-    sentence list (``Corpus`` requires 0-based consecutive ids, which shards
-    don't have); sentence ids stay global, so shard indexes merge without
-    renumbering.
-    """
-    sentences, grammars, max_depth = job
-    index = CorpusIndex(grammars, max_depth=max_depth, min_coverage=1)
-    for sentence in sentences:
-        index.add_sketch(build_sketch(sentence, grammars, max_depth))
-    # Left unlinked and unsealed on purpose: the driver's merge loop re-links
-    # and seals exactly once at the end, so per-chunk finalization (interning
-    # + CSR build) would be thrown-away work.
-    return index
-
-
 def _build_chunk_arena(job) -> Tuple[List[Tuple[SketchKey, int, int]], int]:
-    """Worker for the arena-backed :meth:`CorpusIndex.build_parallel` path.
+    """Worker for :meth:`CorpusIndex.build_parallel`: one shard arena.
 
-    Sketches one corpus shard, interns every node's coverage into a
-    **shard arena** file at the given path, and returns a lightweight payload
-    — ``(key, depth, shard slot)`` per node plus the sentence count — instead
-    of pickling the whole chunk index back to the driver. The driver merges
-    the shard arenas into the final arena by column concatenation with
-    offset rebase (see :meth:`CorpusIndex.build_parallel`).
+    Module-level so multiprocessing can pickle it. Sketches one corpus shard
+    (a plain sentence list: ``Corpus`` requires 0-based consecutive ids,
+    which shards don't have; sentence ids stay global), interns every node's
+    coverage into a **shard arena** file at the given path, and returns a
+    lightweight payload — ``(key, depth, shard slot)`` per node plus the
+    sentence count — instead of pickling the whole chunk index back to the
+    driver. The driver merges the shard arenas into the final arena by
+    column concatenation with offset rebase.
     """
     sentences, grammars, max_depth, shard_path = job
-    index = CorpusIndex(grammars, max_depth=max_depth, min_coverage=1)
+    index = CorpusIndex(
+        grammars, max_depth=max_depth, min_coverage=1, arena_path=shard_path
+    )
     for sentence in sentences:
         index.add_sketch(build_sketch(sentence, grammars, max_depth))
-    store = CoverageStore(
-        backend="arena",
-        path=shard_path,
-        # Shards are write-only scratch: no query runs against them, so the
-        # bitset fast path would be thrown-away work.
-        arena_config=ArenaConfig(bitset_cache_bytes=0),
-        create=True,
-    )
     nodes = list(index.nodes.values())  # root included: the driver unions it
-    views = store.intern_many([node.sentence_ids for node in nodes])
+    views = index.store.intern_many([node.sentence_ids for node in nodes])
     records = [
         (node.key, node.depth, view.slot) for node, view in zip(nodes, views)
     ]
-    store.flush()
-    store.arena.close()
+    index.store.close()
     return records, index._num_sentences
 
 
@@ -143,11 +120,11 @@ class CorpusIndex:
         max_depth: Sketch depth bound used at build time.
         min_coverage: Pruning threshold re-applied by :meth:`merge` so chunked
             construction matches a direct :meth:`build`.
-        coverage_backend: ``"memory"`` (default) or ``"arena"`` — where the
-            interned coverage columns live (see
-            :class:`~repro.index.coverage.CoverageStore`).
-        arena_config: :class:`~repro.index.arena.ArenaConfig` for the arena
-            backend (file path, bitset cache budget).
+        arena_path: File for the coverage arena the interned columns live in
+            (see :class:`~repro.index.coverage.CoverageStore`); ``None`` uses
+            an anonymous temporary arena.
+        store: An already-populated store to adopt instead of creating a
+            fresh arena (the checkpoint-restore path).
     """
 
     def __init__(
@@ -155,8 +132,8 @@ class CorpusIndex:
         grammars: Sequence[HeuristicGrammar],
         max_depth: int = 10,
         min_coverage: int = 1,
-        coverage_backend: str = "memory",
-        arena_config: Optional[ArenaConfig] = None,
+        arena_path: Optional[str] = None,
+        store: Optional[CoverageStore] = None,
     ) -> None:
         if not grammars:
             raise CorpusIndexError("at least one grammar is required")
@@ -166,13 +143,12 @@ class CorpusIndex:
         self.grammars: Dict[str, HeuristicGrammar] = {g.name: g for g in grammars}
         self.max_depth = max_depth
         self.min_coverage = min_coverage
-        self.coverage_backend = coverage_backend
-        self.arena_config = arena_config
         # create=True: a build always starts from an empty arena, truncating
         # any stale file at the path (reattach is the checkpoint-restore
         # path, via CoverageStore.from_state, never a fresh build).
-        self.store = CoverageStore(
-            backend=coverage_backend, arena_config=arena_config, create=True
+        self.store = (
+            store if store is not None
+            else CoverageStore(path=arena_path, create=True)
         )
         self.nodes: Dict[SketchKey, IndexNode] = {
             ROOT_KEY: IndexNode(key=ROOT_KEY, depth=0)
@@ -206,16 +182,14 @@ class CorpusIndex:
         grammars: Sequence[HeuristicGrammar],
         max_depth: int = 10,
         min_coverage: int = 1,
-        coverage_backend: str = "memory",
-        arena_config: Optional[ArenaConfig] = None,
+        arena_path: Optional[str] = None,
     ) -> "CorpusIndex":
         """Build the index for ``corpus`` by merging per-sentence sketches."""
         index = cls(
             grammars,
             max_depth=max_depth,
             min_coverage=min_coverage,
-            coverage_backend=coverage_backend,
-            arena_config=arena_config,
+            arena_path=arena_path,
         )
         for sentence in corpus:
             sketch = build_sketch(sentence, grammars, max_depth)
@@ -249,24 +223,24 @@ class CorpusIndex:
         max_depth: int = 10,
         min_coverage: int = 1,
         num_chunks: int = 4,
-        coverage_backend: str = "memory",
-        arena_config: Optional[ArenaConfig] = None,
+        arena_path: Optional[str] = None,
     ) -> "CorpusIndex":
         """Build the index over ``num_chunks`` corpus shards in parallel.
 
-        Each shard is sketched and merged into a chunk index by a worker
-        process (``min_coverage=1``, i.e. unpruned — per-chunk pruning would
-        lose keys that only clear the threshold globally; see :meth:`merge`),
-        the chunk indexes are merged on the driver, and the final pruning is
-        applied once, so the result is identical to a serial :meth:`build`.
-
-        With ``coverage_backend="arena"`` each worker seals its shard into a
-        temporary **shard arena** and returns only ``(key, depth, slot)``
-        records; the driver folds the shard arenas into the final arena by
+        Each worker process sketches one shard into an unpruned chunk
+        (``min_coverage=1`` — per-chunk pruning would lose keys that only
+        clear the threshold globally; see :meth:`merge`), seals it into a
+        temporary **shard arena**, and returns only ``(key, depth, slot)``
+        records. The driver folds the shard arenas into the final arena by
         column concatenation with offset rebase (keys unique to one shard,
         the common case for deep keys, are bulk-copied as one contiguous
-        segment per shard) and interns the union coverage for keys that
-        appear in several shards. The shard files are deleted afterwards.
+        segment per shard), interns the union coverage for keys that appear
+        in several shards, and applies the final pruning once, so the result
+        is identical to a serial :meth:`build`. Shard sentence-id ranges are
+        consecutive and increasing (the shards are corpus slices), so the
+        union of a key's per-shard coverages is the plain concatenation of
+        its shard slices in shard order — already sorted. The shard files are
+        deleted afterwards.
 
         Falls back to a serial build when ``num_chunks <= 1``, the corpus is
         smaller than the chunk count, or no worker pool can be started (e.g.
@@ -279,8 +253,7 @@ class CorpusIndex:
                 grammars,
                 max_depth=max_depth,
                 min_coverage=min_coverage,
-                coverage_backend=coverage_backend,
-                arena_config=arena_config,
+                arena_path=arena_path,
             )
         bounds = np.linspace(0, len(sentences), num_chunks + 1).astype(int)
         shards = [
@@ -288,49 +261,6 @@ class CorpusIndex:
             for i in range(num_chunks)
             if bounds[i] < bounds[i + 1]
         ]
-        if coverage_backend == "arena":
-            return cls._build_parallel_arena(
-                shards,
-                grammars,
-                max_depth=max_depth,
-                min_coverage=min_coverage,
-                arena_config=arena_config,
-            )
-        jobs = [(shard, list(grammars), max_depth) for shard in shards]
-        try:
-            import multiprocessing
-
-            with multiprocessing.Pool(processes=min(len(jobs), os.cpu_count() or 1)) as pool:
-                chunk_indexes = pool.map(_build_chunk_index, jobs)
-        except (ImportError, OSError, PermissionError):
-            chunk_indexes = [_build_chunk_index(job) for job in jobs]
-        merged = chunk_indexes[0]
-        for chunk in chunk_indexes[1:]:
-            merged.merge(chunk, finalize=False)
-        merged.link_structure()
-        merged.min_coverage = min_coverage
-        if min_coverage > 1:
-            merged.prune(min_coverage)
-        merged._built = True
-        merged.seal()
-        return merged
-
-    @classmethod
-    def _build_parallel_arena(
-        cls,
-        shards: List[List],
-        grammars: Sequence[HeuristicGrammar],
-        max_depth: int,
-        min_coverage: int,
-        arena_config: Optional[ArenaConfig],
-    ) -> "CorpusIndex":
-        """Arena-backed chunked build: shard arenas → one merged arena.
-
-        Shard sentence-id ranges are consecutive and increasing (the shards
-        are corpus slices), so the union of a key's per-shard coverages is
-        the plain concatenation of its shard slices in shard order — already
-        sorted, no re-sort needed.
-        """
         scratch = tempfile.mkdtemp(prefix="repro-arena-shards-")
         shard_arenas: List[CoverageArena] = []
         try:
@@ -353,8 +283,7 @@ class CorpusIndex:
                 grammars,
                 max_depth=max_depth,
                 min_coverage=min_coverage,
-                coverage_backend="arena",
-                arena_config=arena_config,
+                arena_path=arena_path,
             )
             store = index.store
             shard_arenas = [CoverageArena.open(job[3]) for job in jobs]
@@ -427,7 +356,7 @@ class CorpusIndex:
                 arena.close()
             shutil.rmtree(scratch, ignore_errors=True)
 
-    def merge(self, other: "CorpusIndex", finalize: bool = True) -> "CorpusIndex":
+    def merge(self, other: "CorpusIndex") -> "CorpusIndex":
         """Merge another chunk index into this one (parallel construction).
 
         The merged index re-applies ``min_coverage`` pruning and is marked
@@ -442,13 +371,6 @@ class CorpusIndex:
 
         Args:
             other: The chunk index to union in.
-            finalize: Re-link, prune, and seal after merging (the default).
-                A caller folding many chunks together — see
-                :meth:`build_parallel` — passes ``False`` for the
-                intermediate merges and finalizes once at the end, since
-                per-merge linking and sealing over the growing index is
-                thrown-away work; the merged index is left unlinked and
-                unsealed until the caller finalizes it.
         """
         if set(self.grammars) != set(other.grammars):
             raise CorpusIndexError("cannot merge indexes over different grammars")
@@ -465,9 +387,6 @@ class CorpusIndex:
                 mine.sentence_ids.update(theirs)
         self._num_sentences += other._num_sentences
         self.min_coverage = max(self.min_coverage, other.min_coverage)
-        if not finalize:
-            self._built = False
-            return self
         self.link_structure()
         if self.min_coverage > 1:
             self.prune(self.min_coverage)
@@ -549,9 +468,9 @@ class CorpusIndex:
         if len(root.sentence_ids):
             max_id = max(int(i) for i in root.sentence_ids)
         store.ensure_universe(max(self._num_sentences, max_id + 1))
-        # One bulk intern: on the arena backend this appends every new
-        # coverage as a single contiguous values segment (one file write)
-        # instead of one write per node.
+        # One bulk intern: appends every new coverage to the arena as a
+        # single contiguous values segment (one file write) instead of one
+        # write per node.
         pending = [
             node
             for node in self.nodes.values()
@@ -968,7 +887,6 @@ class CorpusIndex:
         state: Dict[str, object],
         bundle,
         grammars: Sequence[HeuristicGrammar],
-        arena_config: Optional[ArenaConfig] = None,
     ) -> "CorpusIndex":
         """Rebuild a sealed index from :meth:`to_state` output.
 
@@ -977,19 +895,13 @@ class CorpusIndex:
             bundle: Array source (:class:`repro.engine.state.ArrayBundle`).
             grammars: Grammar instances matching the serialized grammar names
                 (built by the engine from its config before the index loads).
-            arena_config: Runtime arena tuning for arena-backed stores (the
-                arena path itself comes from the state's arena reference).
         """
         index = cls(
             grammars,
             max_depth=int(state["max_depth"]),
             min_coverage=int(state["min_coverage"]),
+            store=CoverageStore.from_state(state["store"], bundle),
         )
-        index.store = CoverageStore.from_state(
-            state["store"], bundle, arena_config=arena_config
-        )
-        index.coverage_backend = index.store.backend
-        index.arena_config = arena_config if index.store.backend == "arena" else None
         views = index.store.interned_views()
         index._num_sentences = int(state["num_sentences"])
         for record in state["nodes"]:

@@ -1,8 +1,8 @@
 """The tenant pool: shared immutable substrate, per-tenant engines.
 
 ``TenantPool`` owns everything that is corpus-wide and immutable — the sealed
-:class:`~repro.index.CorpusIndex`, its coverage columns (frozen read-only
-when arena-backed, content-digest verified on attach), and one
+:class:`~repro.index.CorpusIndex`, its coverage arena (frozen read-only,
+content-digest verified on attach), and one
 :class:`~repro.classifier.features.SharedFeatureCache` — and hands out
 :class:`Tenant` handles whose engines share all of it by reference:
 
@@ -33,7 +33,6 @@ from ..classifier.features import SentenceFeaturizer, SharedFeatureCache
 from ..config import CrowdConfig, DarwinConfig, DEFAULT_CONFIG
 from ..engine.engine import DarwinEngine
 from ..errors import ConfigurationError
-from ..index.arena import ArenaConfig
 from ..index.overlay import OverlayCoverageStore
 from ..index.trie_index import CorpusIndex
 from ..obs import get_registry
@@ -69,7 +68,7 @@ class SharedIndexView(CorpusIndex):
     def add_sketch(self, sketch) -> None:  # pragma: no cover - guard
         self._refuse("add sketches to")
 
-    def merge(self, other, finalize: bool = True):  # pragma: no cover - guard
+    def merge(self, other):  # pragma: no cover - guard
         self._refuse("merge into")
 
     def prune(self, min_coverage: int) -> int:  # pragma: no cover - guard
@@ -150,16 +149,17 @@ class Tenant:
             self._coordinator.flush()
 
     def save(self, path: str) -> str:
-        """Checkpoint this tenant. The shared columns are stored as an arena
-        *reference* (path + digest), tenant-local overlay columns inline."""
+        """Checkpoint this tenant. Tenant-local overlay columns are stored
+        inline; the shared columns as an arena *reference* (path + digest)
+        when the pool's arena is named, inline when it is temporary."""
         return self.engine.save(path)
 
     def resident_bytes(self) -> int:
-        """The tenant's marginal heap bytes: overlay columns + local bitsets."""
+        """The tenant's marginal heap bytes: its overlay columns."""
         return self.store.resident_coverage_bytes
 
     def close(self) -> None:
-        """Release the tenant's overlay caches and drop its engine."""
+        """Release the tenant's overlay and drop its engine."""
         self.store.close()
         self.engine = None
         self._coordinator = None
@@ -170,16 +170,13 @@ class TenantPool:
 
     Args:
         corpus: The corpus every tenant labels.
-        config: Per-tenant run configuration. ``config.index`` selects the
-            shared coverage backend (``arena`` recommended for serving;
-            ``memory`` works and is what the cross-backend test matrix
-            exercises).
+        config: Per-tenant run configuration. ``config.index.arena_path``
+            names the shared coverage arena (``None``: a temporary one).
         index: A pre-built sealed index to adopt instead of building one.
         featurizer: A pre-fitted featurizer to adopt (its cache is shared).
         arena_path: Overrides ``config.index.arena_path`` for a built index.
         expected_digest: Content digest the shared arena must match — the
-            digest-verified attach. Mismatch (or passing a digest for a
-            memory-backed pool) raises
+            digest-verified attach. A mismatch raises
             :class:`~repro.errors.ConfigurationError`.
         seeds: Default seeds for spawned tenants (``rule_texts`` /
             ``positive_ids``), as :class:`~repro.engine.DarwinEngine` takes.
@@ -207,20 +204,12 @@ class TenantPool:
         self._closed = False
 
         if index is None:
-            index_config = self.config.index
-            arena_config = None
-            if index_config.coverage_backend == "arena":
-                arena_config = ArenaConfig(
-                    path=arena_path or index_config.arena_path,
-                    bitset_cache_bytes=index_config.bitset_cache_bytes,
-                )
             index = CorpusIndex.build(
                 corpus,
                 self._build_grammars(),
                 max_depth=self.config.max_sketch_depth,
                 min_coverage=self.config.min_coverage,
-                coverage_backend=index_config.coverage_backend,
-                arena_config=arena_config,
+                arena_path=arena_path or self.config.index.arena_path,
             )
         elif not index.sealed:
             index.seal()
@@ -230,22 +219,13 @@ class TenantPool:
         # arena swaps its writable handle for a read-only one, so even a
         # buggy tenant physically cannot append to the shared id space.
         arena = self.index.store.arena
-        if arena is not None:
-            self.index.store.flush()
-            arena.reopen_read_only()
-            self.arena_digest: Optional[str] = arena.digest
-            if expected_digest is not None and expected_digest != self.arena_digest:
-                raise ConfigurationError(
-                    f"shared coverage arena {arena.path} does not match the "
-                    f"expected digest: {self.arena_digest} != {expected_digest}"
-                )
-        else:
-            self.arena_digest = None
-            if expected_digest is not None:
-                raise ConfigurationError(
-                    "expected_digest requires an arena-backed pool; the "
-                    "memory backend has no verifiable shared file"
-                )
+        arena.reopen_read_only()
+        self.arena_digest: str = arena.digest
+        if expected_digest is not None and expected_digest != self.arena_digest:
+            raise ConfigurationError(
+                f"shared coverage arena {arena.path} does not match the "
+                f"expected digest: {self.arena_digest} != {expected_digest}"
+            )
 
         if featurizer is None:
             featurizer = SentenceFeaturizer.fit(
@@ -273,7 +253,7 @@ class TenantPool:
             "shared_resident_bytes": "Heap bytes of the shared substrate",
             "tenant_resident_bytes": "Summed marginal tenant overlay bytes",
             "feature_cache_bytes": "Shared feature cache resident bytes",
-            "arena_file_bytes": "Backing arena file size (arena pools only)",
+            "arena_file_bytes": "Backing arena file size",
         }
         for key, value in stats.items():
             registry.gauge(
@@ -439,9 +419,9 @@ class TenantPool:
     # ------------------------------------------------------------- accounting
     def shared_resident_bytes(self) -> int:
         """Heap bytes pinned by the substrate every tenant shares: the base
-        store's residency (bitset cache + offsets for arena pools, the full
-        columns for memory pools), the CSR inverted map, and the feature
-        cache. Exists once per pool regardless of tenant count."""
+        store's residency (the arena's offsets column), the CSR inverted
+        map, and the feature cache. Exists once per pool regardless of
+        tenant count."""
         index = self.index
         inverted = (
             index._inv_nodes.nbytes
@@ -460,18 +440,16 @@ class TenantPool:
 
     def memory_stats(self) -> Dict[str, float]:
         """Shared-vs-per-tenant residency breakdown (bench + serve report)."""
-        stats = {
+        arena = self.index.store.arena
+        return {
             "num_tenants": float(self.num_tenants),
             "shared_resident_bytes": float(self.shared_resident_bytes()),
             "tenant_resident_bytes": float(self.tenant_resident_bytes()),
             "feature_cache_bytes": float(self.featurizer.cache.nbytes),
-        }
-        arena = self.index.store.arena
-        if arena is not None:
-            stats["arena_file_bytes"] = float(
+            "arena_file_bytes": float(
                 arena.values_bytes + (arena.num_interned + 1) * 8
-            )
-        return stats
+            ),
+        }
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -504,8 +482,8 @@ class TenantPool:
         self.close()
 
     def __repr__(self) -> str:
-        backend = "closed" if self._closed else self.index.store.backend
+        state = "closed" if self._closed else "open"
         return (
-            f"TenantPool(tenants={self.num_tenants}, backend={backend!r}, "
+            f"TenantPool(tenants={self.num_tenants}, {state}, "
             f"digest={self.arena_digest!r})"
         )

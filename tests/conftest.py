@@ -4,16 +4,23 @@ Fixtures are intentionally small (hundreds of sentences at most) so the full
 suite runs in well under a minute; the benchmark harness exercises the larger
 configurations.
 
-Cross-backend matrix: the session-parametrized :func:`coverage_backend`
-fixture runs every test that (directly or transitively) depends on it once
-per coverage backend — ``memory`` and ``arena``. The core Darwin, engine, and
-crowd suites request it through :func:`backend_directions_index` /
-:func:`backend_index_spec`, so a behavioural difference between the heap and
-mmap coverage layers fails those suites instead of hiding until someone runs
-``tests/test_arena.py``.
+Arena matrix: the session-parametrized :func:`named_arena` fixture runs
+every test that (directly or transitively) depends on it once per arena
+durability — an anonymous temporary arena, whose checkpoints carry the
+coverage columns inline, and a named arena file, whose checkpoints reference
+it by path + digest. The core Darwin, engine, and crowd suites request it
+through :func:`backend_directions_index` / :func:`backend_index_spec`, so a
+behavioural difference between the two encodings fails those suites instead
+of hiding until someone runs ``tests/test_arena.py``. The test ids keep the
+names of the two coverage backends the axis replaced: ``memory`` is the
+temporary arena (it writes the inline layout the retired heap backend
+wrote), ``arena`` the named one.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +28,7 @@ from repro.classifier.features import SentenceFeaturizer
 from repro.config import ClassifierConfig, DarwinConfig
 from repro.datasets import load_dataset
 from repro.grammars import TokensRegexGrammar, TreeMatchGrammar
-from repro.index import ArenaConfig, CorpusIndex
+from repro.index import CorpusIndex
 from repro.text import Corpus
 
 EXAMPLE1_TEXTS = [
@@ -95,38 +102,37 @@ def fast_config() -> DarwinConfig:
     )
 
 
-@pytest.fixture(scope="session", params=["memory", "arena"])
-def coverage_backend(request) -> str:
-    """The coverage backend under test (the cross-backend matrix axis)."""
+@pytest.fixture(scope="session", params=[False, True], ids=["memory", "arena"])
+def named_arena(request) -> bool:
+    """Whether the index under test maps a named arena file (the matrix
+    axis); False is the default anonymous temporary arena."""
     return request.param
 
 
 @pytest.fixture(scope="session")
 def backend_directions_index(
-    directions_corpus, coverage_backend, tmp_path_factory
+    directions_corpus, named_arena, tmp_path_factory
 ) -> CorpusIndex:
-    """The small directions index, built on the matrixed coverage backend.
+    """The small directions index, built over the matrixed arena.
 
-    Identical to :func:`directions_index` for ``memory``; the ``arena``
-    variant spills its columns to a session-temporary mmap file. Suites that
-    must run on both backends take this fixture instead of
-    ``directions_index``.
+    Identical to :func:`directions_index` for the temporary arena; the named
+    variant maps a session-temporary arena file. Suites that must run on
+    both take this fixture instead of ``directions_index``.
     """
-    grammar = TokensRegexGrammar(max_phrase_len=4)
-    if coverage_backend == "memory":
-        return CorpusIndex.build(
-            directions_corpus, [grammar], max_depth=10, min_coverage=2
+    arena_path = None
+    if named_arena:
+        arena_path = str(
+            tmp_path_factory.mktemp("coverage-arena") / "directions.arena"
         )
-    path = tmp_path_factory.mktemp("coverage-arena") / "directions.arena"
     return CorpusIndex.build(
-        directions_corpus, [grammar], max_depth=10, min_coverage=2,
-        coverage_backend="arena", arena_config=ArenaConfig(path=str(path)),
+        directions_corpus, [TokensRegexGrammar(max_phrase_len=4)],
+        max_depth=10, min_coverage=2, arena_path=arena_path,
     )
 
 
 @pytest.fixture()
-def backend_index_spec(coverage_backend, tmp_path):
-    """A fresh ``IndexConfig`` mapping for engine config dicts, per backend.
+def backend_index_spec(named_arena, tmp_path):
+    """A fresh ``IndexConfig`` mapping for engine config dicts, per arena.
 
     A factory so one test can build several engines without them truncating
     each other's arena file: every call allocates a distinct path.
@@ -134,12 +140,34 @@ def backend_index_spec(coverage_backend, tmp_path):
     counter = {"n": 0}
 
     def make() -> dict:
-        if coverage_backend == "memory":
-            return {"coverage_backend": "memory"}
+        if not named_arena:
+            return {}
         counter["n"] += 1
-        return {
-            "coverage_backend": "arena",
-            "arena_path": str(tmp_path / f"matrix-{counter['n']}.arena"),
-        }
+        return {"arena_path": str(tmp_path / f"matrix-{counter['n']}.arena")}
 
     return make
+
+
+@pytest.fixture(scope="session")
+def golden_histories() -> dict:
+    """Golden ``(rule, answer, |C_r|, |P|)`` rows per run, recorded on the
+    retired heap coverage backend (see ``tests/test_golden_histories.py``)."""
+    path = Path(__file__).parent / "data" / "golden_histories.json"
+    with open(path, encoding="utf-8") as handle:
+        runs = json.load(handle)
+    return {name: [tuple(row) for row in rows] for name, rows in runs.items()}
+
+
+@pytest.fixture()
+def golden_solo_spec() -> dict:
+    """Engine spec of the golden ``solo`` run: the directions fixture corpus
+    (600 sentences, seed 11) with the default index config."""
+    return {
+        "dataset": {"name": "directions", "num_sentences": 600, "seed": 11,
+                    "parse_trees": False},
+        "config": {"budget": 15, "num_candidates": 200, "min_coverage": 2,
+                   "grammars": ["tokensregex"], "oracle": "ground_truth",
+                   "classifier": {"model": "logistic", "epochs": 10,
+                                  "embedding_dim": 30}},
+        "seeds": {"rule_texts": ["best way to get to"]},
+    }

@@ -1,14 +1,15 @@
-"""Tests for the memory-mapped coverage arena backend.
+"""Tests for the memory-mapped coverage arena.
 
 Covers the arena file format (create / append / reattach / corruption), the
 arena-backed :class:`CoverageStore` (zero-copy views, digest-verified
-checkpoint references, the ``num_interned``-vs-offsets validation bugfix,
-the LRU bitset byte budget), arena-backed index builds (serial and sharded
-parallel), and the engine checkpoint/resume path.
+checkpoint references, inline checkpoints for temporary arenas, the
+``num_interned``-vs-offsets validation bugfix), index builds (serial and
+sharded parallel), and the engine checkpoint/resume path.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 
 import numpy as np
@@ -20,16 +21,14 @@ from repro.engine.engine import DarwinEngine
 from repro.engine.state import ArrayBundle
 from repro.errors import ConfigurationError
 from repro.grammars import TokensRegexGrammar
-from repro.index.arena import ArenaConfig, CoverageArena, HEADER_SIZE
+from repro.index.arena import CoverageArena, HEADER_SIZE
 from repro.index.coverage import CoverageStore
+from repro.index.sketch import build_sketch
 from repro.index.trie_index import CorpusIndex
 
 
-def arena_store(tmp_path, name="store.arena", **kwargs):
-    return CoverageStore(
-        backend="arena", path=str(tmp_path / name),
-        arena_config=ArenaConfig(**kwargs) if kwargs else None,
-    )
+def arena_store(tmp_path, name="store.arena"):
+    return CoverageStore(path=str(tmp_path / name))
 
 
 class TestCoverageArenaFile:
@@ -151,7 +150,7 @@ class TestArenaStore:
         state = store.to_state(bundle)
         assert state["backend"] == "arena"
         restored = CoverageStore.from_state(state, bundle)
-        assert restored.backend == "arena"
+        assert restored.arena.path == state["arena"]["path"]
         assert restored.num_interned == 1  # just the empty slot
         assert restored.empty.count == 0
 
@@ -223,31 +222,40 @@ class TestArenaStore:
         with pytest.raises(ConfigurationError, match="offsets"):
             CoverageStore.from_state(state, bad_bundle)
 
-    def test_bitset_cache_respects_byte_budget(self, tmp_path):
-        universe = 512
-        budget = 3 * (universe // 8)  # room for three packed bitsets
-        store = arena_store(tmp_path, bitset_cache_bytes=budget)
-        store.ensure_universe(universe)
-        views = [
-            store.intern(np.arange(start, universe, 2, dtype=np.int32))
-            for start in range(10)
-        ]
-        dense = store.intern(np.arange(universe, dtype=np.int32))
-        for view in views:
-            # Dense-vs-dense intersections route through the budgeted cache.
-            expected = len(set(view.ids.tolist()) & set(dense.ids.tolist()))
-            assert view.intersect_count(dense) == expected
-        stats = store.bitset_cache_stats()
-        assert stats["cached_bytes"] <= budget
-        assert stats["misses"] > 0
+    def test_temporary_store_checkpoints_inline_columns(self):
+        store = CoverageStore(universe_size=16)
+        views = [store.intern(ids) for ids in ([3, 1], [9], [2, 4, 6])]
+        assert store.arena.temporary
+        bundle = ArrayBundle()
+        state = store.to_state(bundle)
+        assert state["backend"] == "inline"
+        assert "arena" not in state
+        temp_path = store.arena.path
+        del store, views  # the anonymous arena file goes with its store
+        gc.collect()
+        assert not os.path.exists(temp_path)
 
-    def test_bitset_cache_zero_budget_disables_fast_path(self, tmp_path):
-        store = arena_store(tmp_path, bitset_cache_bytes=0)
-        store.ensure_universe(256)
-        a = store.intern(np.arange(0, 256, 2, dtype=np.int32))
-        b = store.intern(np.arange(0, 256, 4, dtype=np.int32))
-        assert a.intersect_count(b) == 64
-        assert store.bitset_cache_stats()["cached_entries"] == 0
+        restored = CoverageStore.from_state(state, bundle)
+        assert restored.arena.temporary and restored.arena.path != temp_path
+        assert [view.ids.tolist() for view in restored.interned_views()] == [
+            [], [1, 3], [9], [2, 4, 6],
+        ]
+
+    def test_memory_tagged_state_restores_in_slot_order(self):
+        # Checkpoints of the retired heap backend tag their inline columns
+        # "memory"; they restore into a fresh temporary arena, slot for slot.
+        store = CoverageStore(universe_size=64)
+        for ids in ([40, 41], [7], list(range(0, 64, 8)), [5, 6]):
+            store.intern(ids)
+        bundle = ArrayBundle()
+        state = store.to_state(bundle)
+        state["backend"] = "memory"
+        restored = CoverageStore.from_state(state, bundle)
+        assert restored.arena.temporary
+        assert restored.universe_size == 64
+        assert [view.ids.tolist() for view in restored.interned_views()] == [
+            view.ids.tolist() for view in store.interned_views()
+        ]
 
 
 class TestArenaStoreProperties:
@@ -259,48 +267,50 @@ class TestArenaStoreProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_arena_interning_matches_memory(self, tmp_path_factory, coverages):
-        """Arena-backed interning is view-for-view equal to in-memory."""
+        """Arena-backed views behave exactly like in-memory frozensets."""
         tmp = tmp_path_factory.mktemp("arena-prop")
-        memory = CoverageStore(universe_size=128)
-        arena = CoverageStore(
-            backend="arena", path=str(tmp / "prop.arena"),
-            arena_config=ArenaConfig(bitset_cache_bytes=1 << 16),
-        )
+        arena = CoverageStore(path=str(tmp / "prop.arena"))
         arena.ensure_universe(128)
-        memory_views = [memory.intern(ids) for ids in coverages]
         arena_views = [arena.intern(ids) for ids in coverages]
-        assert memory.num_interned == arena.num_interned
+        expected = [frozenset(ids) for ids in coverages]
+        # One slot per distinct coverage, plus the empty slot.
+        assert arena.num_interned == len(set(expected) | {frozenset()})
         probe = np.zeros(128, dtype=bool)
         probe[::3] = True
-        for mem_view, arena_view in zip(memory_views, arena_views):
-            assert mem_view.ids.tolist() == arena_view.ids.tolist()
-            assert mem_view.to_set() == arena_view.to_set()
-            assert hash(mem_view) == hash(arena_view)
-            assert mem_view.overlap_with(probe) == arena_view.overlap_with(probe)
-            for other in arena_views:
-                assert (
-                    arena_view.intersect_count(other)
-                    == len(mem_view.to_set() & other.to_set())
+        probed = frozenset(np.flatnonzero(probe).tolist())
+        for reference, arena_view in zip(expected, arena_views):
+            assert arena_view.ids.tolist() == sorted(reference)
+            assert arena_view.to_set() == reference
+            assert arena_view == reference
+            assert hash(arena_view) == hash(reference)
+            assert arena_view.overlap_with(probe) == len(reference & probed)
+            for other, other_view in zip(expected, arena_views):
+                assert arena_view.intersect_count(other_view) == len(
+                    reference & other
                 )
 
 
 class TestArenaIndex:
     def test_serial_build_matches_memory(self, tmp_path, directions_corpus):
+        # Reference: the same index left unsealed, so every node keeps its
+        # in-memory Python set and top_by_overlap takes the set-scan path.
         grammar = TokensRegexGrammar(max_phrase_len=4)
-        memory = CorpusIndex.build(
-            directions_corpus, [grammar], max_depth=10, min_coverage=2
-        )
+        memory = CorpusIndex([grammar], max_depth=10, min_coverage=2)
+        for sentence in directions_corpus:
+            memory.add_sketch(build_sketch(sentence, [grammar], 10))
+        memory.link_structure()
+        memory.prune(2)
         arena = CorpusIndex.build(
             directions_corpus, [TokensRegexGrammar(max_phrase_len=4)],
             max_depth=10, min_coverage=2,
-            coverage_backend="arena",
-            arena_config=ArenaConfig(path=str(tmp_path / "serial.arena")),
+            arena_path=str(tmp_path / "serial.arena"),
         )
-        assert arena.store.backend == "arena"
+        assert arena.store.arena.path == str(tmp_path / "serial.arena")
+        assert not memory.sealed and arena.sealed
         assert set(memory.nodes) == set(arena.nodes)
         for key in memory.nodes:
             assert (
-                list(memory.nodes[key].sentence_ids)
+                sorted(memory.nodes[key].sentence_ids)
                 == list(arena.nodes[key].sentence_ids)
             )
         query = sorted(directions_corpus.positive_ids())[:15]
@@ -310,24 +320,22 @@ class TestArenaIndex:
         self, tmp_path, example1_corpus, tokensregex
     ):
         # A fresh build must truncate a stale arena at the same path, not
-        # adopt its slots (which would inflate the universe and silently
-        # disable the bitset fast path) or grow the file across reruns.
+        # adopt its slots (which would inflate the universe) or grow the
+        # file across reruns.
         path = str(tmp_path / "reused.arena")
-        stale = CoverageStore(backend="arena", path=path)
+        stale = CoverageStore(path=path)
         stale.intern(np.arange(0, 200_000, 7, dtype=np.int32))
         stale.flush()
         del stale
         first_size = os.path.getsize(path)
 
         index = CorpusIndex.build(
-            example1_corpus, [tokensregex], max_depth=6,
-            coverage_backend="arena", arena_config=ArenaConfig(path=path),
+            example1_corpus, [tokensregex], max_depth=6, arena_path=path,
         )
         assert index.store.universe_size == len(example1_corpus)
         assert os.path.getsize(path) < first_size
         again = CorpusIndex.build(
-            example1_corpus, [tokensregex], max_depth=6,
-            coverage_backend="arena", arena_config=ArenaConfig(path=path),
+            example1_corpus, [tokensregex], max_depth=6, arena_path=path,
         )
         assert again.store.num_interned == index.store.num_interned
 
@@ -339,10 +347,9 @@ class TestArenaIndex:
         parallel = CorpusIndex.build_parallel(
             directions_corpus, [TokensRegexGrammar(max_phrase_len=4)],
             max_depth=10, min_coverage=2, num_chunks=3,
-            coverage_backend="arena",
-            arena_config=ArenaConfig(path=str(tmp_path / "parallel.arena")),
+            arena_path=str(tmp_path / "parallel.arena"),
         )
-        assert parallel.store.backend == "arena"
+        assert parallel.store.arena.path == str(tmp_path / "parallel.arena")
         assert set(serial.nodes) == set(parallel.nodes)
         for key in serial.nodes:
             assert (
@@ -368,29 +375,29 @@ def engine_spec(tmp_path=None):
 
     spec = copy.deepcopy(ENGINE_SPEC)
     if tmp_path is not None:
-        spec["config"]["index"] = {
-            "coverage_backend": "arena",
-            "arena_path": str(tmp_path / "engine.arena"),
-            "bitset_cache_bytes": 1 << 20,
-        }
+        spec["config"]["index"] = {"arena_path": str(tmp_path / "engine.arena")}
     return spec
 
 
 class TestArenaEngine:
-    def test_checkpoint_resume_matches_memory_backend(self, tmp_path):
-        memory_history = DarwinEngine.from_config(engine_spec()).run().history
-
-        engine = DarwinEngine.from_config(engine_spec(tmp_path))
-        assert engine.darwin.index.store.backend == "arena"
-        engine.run(budget=4)
+    def test_checkpoint_resume_matches_memory_backend(
+        self, tmp_path, golden_solo_spec, golden_histories
+    ):
+        # The golden solo history was recorded on the retired heap backend.
+        arena_path = str(tmp_path / "golden.arena")
+        golden_solo_spec["config"]["index"] = {"arena_path": arena_path}
+        engine = DarwinEngine.from_config(golden_solo_spec)
+        engine.run(budget=6)
         checkpoint = str(tmp_path / "engine.npz")
         engine.save(checkpoint)
 
         resumed = DarwinEngine.load(checkpoint)
-        assert resumed.darwin.index.store.backend == "arena"
-        assert resumed.questions_asked == 4
-        result = resumed.run(budget=8)
-        assert result.history == memory_history
+        assert resumed.darwin.index.store.arena.path == arena_path
+        assert resumed.questions_asked == 6
+        result = resumed.run()
+        assert [
+            (h.rule, h.answer, h.rule_coverage, h.covered) for h in result.history
+        ] == golden_histories["solo"]
 
     def test_checkpoint_is_reference_not_copy(self, tmp_path):
         engine = DarwinEngine.from_config(engine_spec(tmp_path))

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine.engine import DarwinEngine
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestParser:
@@ -66,3 +74,36 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Snuba" in output
         assert "Darwin(HS)" in output
+
+
+class TestCrossProcessResume:
+    def test_run_checkpoint_then_resume_in_a_new_process(self, tmp_path, capsys):
+        # The default run maps a temporary arena that is unlinked when the
+        # first process exits, so the checkpoint must carry its columns.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")])
+        )
+        common = ["--dataset", "directions", "--num-sentences", "300",
+                  "--epochs", "5", "--seed", "3"]
+        checkpoint = str(tmp_path / "run.npz")
+
+        def repro(*args: str) -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *args], env=env,
+                capture_output=True, text=True, timeout=300,
+            )
+
+        first = repro("run", *common, "--budget", "3", "--checkpoint", checkpoint)
+        assert first.returncode == 0, first.stderr
+        resumed = repro("resume", "--checkpoint", checkpoint, "--budget", "6")
+        assert resumed.returncode == 0, resumed.stderr
+        assert "3 questions already answered" in resumed.stdout
+
+        straight = str(tmp_path / "straight.npz")
+        assert main(["run", *common, "--budget", "6",
+                     "--checkpoint", straight]) == 0
+        capsys.readouterr()
+        history = DarwinEngine.load(checkpoint).darwin.history
+        assert len(history) == 6
+        assert history == DarwinEngine.load(straight).darwin.history

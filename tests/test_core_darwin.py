@@ -1,7 +1,7 @@
 """Tests for the end-to-end Darwin loop, ScoreUpdater, and the session API.
 
-The whole suite runs once per coverage backend (memory and arena) via the
-shared ``backend_directions_index`` conftest fixture."""
+The whole suite runs once per arena durability (temporary and named) via
+the shared ``backend_directions_index`` conftest fixture."""
 
 from __future__ import annotations
 

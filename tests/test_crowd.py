@@ -1,7 +1,7 @@
 """Tests for the crowd session service (coordinator, runner, batching).
 
-The whole suite runs once per coverage backend (memory and arena) via the
-shared ``backend_directions_index`` conftest fixture."""
+The whole suite runs once per arena durability (temporary and named) via
+the shared ``backend_directions_index`` conftest fixture."""
 
 from __future__ import annotations
 
@@ -465,4 +465,3 @@ class TestSampleForQuery:
         sample = darwin.sample_for_query(rule)
         assert 0 < len(sample) <= darwin.config.oracle_sample_size
         assert set(sample) <= set(rule.coverage)
-        assert darwin._sample_for_query(rule) is not None  # alias kept

@@ -1,10 +1,10 @@
 """Tests for the declarative engine API: registries, config construction,
 checkpoint/resume state protocol, and the parallel index build.
 
-The construction and checkpoint/resume suites run on both coverage backends
-(memory and arena) through the shared ``backend_index_spec`` conftest
-fixture, so the replay guarantee is enforced per backend instead of only on
-the heap layout."""
+The construction and checkpoint/resume suites run over a temporary and a
+named coverage arena through the shared ``backend_index_spec`` conftest
+fixture, so the replay guarantee is enforced for both checkpoint encodings
+(inline columns and an arena reference)."""
 
 from __future__ import annotations
 

@@ -32,7 +32,6 @@ from repro.gateway import (
     TenantQueue,
     TokenAuthenticator,
     UnauthorizedError,
-    build_server,
 )
 from repro.gateway import wire
 from repro.serving import TenantPool
@@ -550,16 +549,6 @@ class TestGatewayApp:
         # Idempotent: a second call returns the same map without re-saving.
         assert app.finish_drain() == paths
 
-    def test_unknown_backend_rejected(self, gateway_pool, tmp_path):
-        app = GatewayApp(
-            gateway_pool,
-            GatewayConfig(
-                port=0, backend="twisted", checkpoint_dir=str(tmp_path / "c")
-            ),
-        )
-        with pytest.raises(ConfigurationError, match="unknown gateway backend"):
-            build_server(app)
-
 
 # ---------------------------------------------------------------------- CLI
 class TestServeHttpCli:
@@ -569,8 +558,7 @@ class TestServeHttpCli:
 
     def test_missing_arena_directory_exits_2(self, capsys):
         exit_code = main([
-            "serve-http", "--coverage-backend", "arena",
-            "--arena-path", "/nonexistent-gateway-dir/pool.arena",
+            "serve-http", "--arena-path", "/nonexistent-gateway-dir/pool.arena",
         ])
         assert exit_code == 2
         assert "arena directory does not exist" in capsys.readouterr().err
@@ -595,5 +583,4 @@ class TestServeHttpCli:
         args = build_parser().parse_args(["serve-http"])
         assert args.port == 8080
         assert args.queue_depth == 32
-        assert args.coverage_backend == "memory"
         assert args.allow_debug_ops is False

@@ -7,7 +7,7 @@ reachability sets, and benefit counts. The hypothesis properties below
 compare each kernel against a faithful reference implementation on random
 graphs/corpora; the Darwin history test replays a full interactive run with
 the legacy paths monkeypatched back in and asserts the question sequence is
-unchanged (on both the memory and arena coverage backends, via the
+unchanged (over a temporary and a named coverage arena, via the
 session-parametrized fixtures).
 """
 
@@ -27,7 +27,7 @@ from repro.core.oracle import GroundTruthOracle
 from repro.datasets import load_dataset
 from repro.engine.state import ArrayBundle
 from repro.grammars import TokensRegexGrammar
-from repro.index import ArenaConfig, CorpusIndex, NodeTable, RuleHierarchy
+from repro.index import CorpusIndex, NodeTable, RuleHierarchy
 from repro.index.coverage import (
     CoverageStore,
     batched_new_counts,
@@ -212,16 +212,11 @@ class TestBatchedCoverageKernels:
         max_examples=60, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_matches_per_view_probes(self, coverage_backend, tmp_path, case):
+    def test_matches_per_view_probes(self, named_arena, tmp_path, case):
         universe, coverages, covered = case
-        if coverage_backend == "arena":
-            store = CoverageStore(
-                backend="arena",
-                path=str(tmp_path / "kernels.arena"),
-                arena_config=ArenaConfig(),
-            )
-        else:
-            store = CoverageStore()
+        store = CoverageStore(
+            path=str(tmp_path / "kernels.arena") if named_arena else None
+        )
         views = [store.intern(ids) for ids in coverages]
         store.flush()
         mask = np.zeros(universe, dtype=bool)
@@ -394,17 +389,12 @@ class TestHierarchyKernelEquivalence:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_cleanup_mask_path_matches_on_views(
-        self, coverage_backend, tmp_path, case
+        self, named_arena, tmp_path, case
     ):
         universe, coverages, edges, covered = case
-        if coverage_backend == "arena":
-            store = CoverageStore(
-                backend="arena",
-                path=str(tmp_path / "cleanup.arena"),
-                arena_config=ArenaConfig(),
-            )
-        else:
-            store = CoverageStore()
+        store = CoverageStore(
+            path=str(tmp_path / "cleanup.arena") if named_arena else None
+        )
         batch_h, legacy_h = RuleHierarchy(), RuleHierarchy()
         rules = []
         for i, cov in enumerate(coverages):
@@ -482,17 +472,12 @@ class TestBenefitPriming:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_primed_counts_equal_per_rule_probes(
-        self, coverage_backend, tmp_path, case
+        self, named_arena, tmp_path, case
     ):
         universe, coverages, covered = case
-        if coverage_backend == "arena":
-            store = CoverageStore(
-                backend="arena",
-                path=str(tmp_path / "benefit.arena"),
-                arena_config=ArenaConfig(),
-            )
-        else:
-            store = CoverageStore()
+        store = CoverageStore(
+            path=str(tmp_path / "benefit.arena") if named_arena else None
+        )
         rules = []
         for i, cov in enumerate(coverages):
             view = store.intern(cov)
@@ -540,21 +525,19 @@ _HISTORY_SEEDS = {
 
 
 @pytest.fixture(scope="module", params=["directions", "professions"])
-def history_setup(request, coverage_backend, tmp_path_factory):
-    """Corpus + sealed index (per dataset, per coverage backend) + featurizer."""
+def history_setup(request, named_arena, tmp_path_factory):
+    """Corpus + sealed index (per dataset, per arena durability) + featurizer."""
     from repro.classifier.features import SentenceFeaturizer
 
     name = request.param
     corpus = load_dataset(name, num_sentences=300, seed=13, parse_trees=False)
-    grammar = TokensRegexGrammar(max_phrase_len=4)
-    if coverage_backend == "arena":
-        path = tmp_path_factory.mktemp("history-arena") / f"{name}.arena"
-        index = CorpusIndex.build(
-            corpus, [grammar], max_depth=10, min_coverage=2,
-            coverage_backend="arena", arena_config=ArenaConfig(path=str(path)),
-        )
-    else:
-        index = CorpusIndex.build(corpus, [grammar], max_depth=10, min_coverage=2)
+    arena_path = None
+    if named_arena:
+        arena_path = str(tmp_path_factory.mktemp("history-arena") / f"{name}.arena")
+    index = CorpusIndex.build(
+        corpus, [TokensRegexGrammar(max_phrase_len=4)], max_depth=10,
+        min_coverage=2, arena_path=arena_path,
+    )
     featurizer = SentenceFeaturizer.fit(corpus, embedding_dim=30, seed=0)
     return corpus, index, featurizer
 

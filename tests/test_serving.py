@@ -27,7 +27,7 @@ from repro.config import ClassifierConfig, CrowdConfig, DarwinConfig, IndexConfi
 from repro.engine.engine import DarwinEngine
 from repro.engine.state import ArrayBundle
 from repro.errors import ConfigurationError
-from repro.index.arena import ArenaConfig, CoverageArena
+from repro.index.arena import CoverageArena
 from repro.index.coverage import CoverageStore
 from repro.index.overlay import OverlayCoverageStore
 from repro.serving import TenantPool, serve
@@ -39,9 +39,7 @@ SEED_RULE = "best way to get to"
 def serving_config(tmp_path=None, budget=5, **overrides) -> DarwinConfig:
     index = IndexConfig()
     if tmp_path is not None:
-        index = IndexConfig(
-            coverage_backend="arena", arena_path=str(tmp_path / "pool.arena")
-        )
+        index = IndexConfig(arena_path=str(tmp_path / "pool.arena"))
     return DarwinConfig(
         budget=budget,
         num_candidates=250,
@@ -55,10 +53,7 @@ def serving_config(tmp_path=None, budget=5, **overrides) -> DarwinConfig:
 @pytest.fixture()
 def shared_base(tmp_path) -> CoverageStore:
     """A small arena-backed base store, frozen read-only (the pool shape)."""
-    store = CoverageStore(
-        backend="arena", path=str(tmp_path / "base.arena"),
-        arena_config=ArenaConfig(bitset_cache_bytes=1 << 16),
-    )
+    store = CoverageStore(path=str(tmp_path / "base.arena"))
     store.intern([1, 2, 3])
     store.intern([5, 9])
     store.intern(np.arange(0, 64, 2, dtype=np.int32))
@@ -139,8 +134,8 @@ class TestOverlayStore:
             CoverageStore.from_state(state, bundle)
 
     def test_mixed_universe_intersections_stay_exact(self, shared_base):
-        # A tenant whose universe outgrew the base must not misalign packed
-        # bitsets against base views; the merge fallback keeps counts exact.
+        # A tenant whose universe outgrew the base still counts exactly
+        # against base views.
         overlay = OverlayCoverageStore(shared_base)
         dense_base = shared_base.find(np.arange(0, 64, 2, dtype=np.int32))
         local = overlay.intern(np.arange(0, 300, 3, dtype=np.int32))
@@ -150,7 +145,7 @@ class TestOverlayStore:
 
 
 class TestOverlayInterleavingProperty:
-    """The overlay extension of the arena==memory hypothesis property."""
+    """The overlay extension of the arena interning hypothesis property."""
 
     @given(
         ops=st.lists(
@@ -166,10 +161,7 @@ class TestOverlayInterleavingProperty:
         self, tmp_path_factory, ops
     ):
         tmp = tmp_path_factory.mktemp("overlay-prop")
-        base = CoverageStore(
-            backend="arena", path=str(tmp / "base.arena"),
-            arena_config=ArenaConfig(bitset_cache_bytes=1 << 16),
-        )
+        base = CoverageStore(path=str(tmp / "base.arena"))
         base.intern([1, 2, 3])
         base.intern(list(range(0, 100, 5)))
         base.flush()
@@ -178,8 +170,8 @@ class TestOverlayInterleavingProperty:
         base_count = base.num_interned
 
         overlays = [OverlayCoverageStore(base), OverlayCoverageStore(base)]
-        # Reference: each tenant replayed against its own solo memory store
-        # seeded with the same shared coverages.
+        # Reference: each tenant replayed against its own solo store seeded
+        # with the same shared coverages.
         solos = []
         for _ in range(2):
             solo = CoverageStore(universe_size=base.universe_size)
@@ -356,13 +348,6 @@ class TestTenantPool:
             TenantPool(
                 serving_corpus, config, expected_digest="0" * 32,
                 seeds={"rule_texts": [SEED_RULE]},
-            )
-
-    def test_memory_backend_rejects_expected_digest(self, serving_corpus):
-        with pytest.raises(ConfigurationError, match="arena-backed"):
-            TenantPool(
-                serving_corpus, serving_config(budget=4),
-                expected_digest="0" * 32,
             )
 
     def test_tenant_checkpoint_references_shared_arena(
