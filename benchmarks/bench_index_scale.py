@@ -88,7 +88,9 @@ def legacy_hot_paths(index: CorpusIndex):
     * ``CorpusIndex.overlap_count`` — Python-set membership loop per node,
     * ``BenefitScorer.new_count`` — uncached per-id loop per candidate per
       propose (the old gain filter materialized ``new_ids`` lists each time),
-    * ``RuleHierarchy.cleanup`` — per-rule ``set(coverage) - covered`` copies.
+    * ``RuleHierarchy.cleanup`` — per-rule ``set(coverage) - covered`` copies,
+    * ``Darwin._refresh_hierarchy_incremental`` — full candidate regeneration
+      (``Darwin._build_hierarchy``) after every accept.
     """
     legacy_sets = {key: set(index.nodes[key].sentence_ids) for key in index.keys()}
 
@@ -98,6 +100,7 @@ def legacy_hot_paths(index: CorpusIndex):
     original_new_count = BenefitScorer.new_count
     original_new_ids = BenefitScorer._new_ids_array
     original_cleanup = RuleHierarchy.cleanup
+    original_refresh = Darwin._refresh_hierarchy_incremental
 
     def heuristic(self, key):
         rule = original_heuristic(self, key)
@@ -133,12 +136,16 @@ def legacy_hot_paths(index: CorpusIndex):
             self.remove(rule)
         return len(removable)
 
+    def refresh_hierarchy(self, new_positive_ids):
+        return self._build_hierarchy()
+
     CorpusIndex.heuristic = heuristic
     CorpusIndex.coverage_of_expression = coverage_of_expression
     CorpusIndex.overlap_count = overlap_count
     BenefitScorer.new_count = new_count
     BenefitScorer._new_ids_array = new_ids_array
     RuleHierarchy.cleanup = cleanup
+    Darwin._refresh_hierarchy_incremental = refresh_hierarchy
     try:
         yield
     finally:
@@ -148,6 +155,7 @@ def legacy_hot_paths(index: CorpusIndex):
         BenefitScorer.new_count = original_new_count
         BenefitScorer._new_ids_array = original_new_ids
         RuleHierarchy.cleanup = original_cleanup
+        Darwin._refresh_hierarchy_incremental = original_refresh
 
 
 # ------------------------------------------------------------------ measures
@@ -216,7 +224,6 @@ def measure_scale(num_sentences: int, budget: int) -> Dict[str, object]:
         num_candidates=2000,
         min_coverage=2,
         retrain_every=5,
-        hierarchy_refresh="incremental",
         classifier=ClassifierConfig(model="logistic", epochs=10, embedding_dim=30),
     )
     oracle = GroundTruthOracle(corpus)
@@ -248,24 +255,23 @@ def measure_scale(num_sentences: int, budget: int) -> Dict[str, object]:
             answer = budgeted.ask(rule, darwin.sample_for_query(rule))
             darwin.record_answer(rule, answer.is_useful)
         elapsed = time.perf_counter() - start
-        timings = darwin.stopwatch.as_dict()
+        totals = {phase: block["total"] for phase, block in darwin.timings().items()}
         questions = max(budgeted.queries_used, 1)
         truth = corpus.positive_ids()
         return {
             "total_s": elapsed,
             "questions": float(budgeted.queries_used),
             "per_question_ms": 1000.0 * elapsed / questions,
-            "hierarchy_generation_s": timings.get(
-                "hierarchy_generation", {}
-            ).get("total", 0.0),
-            "score_update_s": timings.get("score_update", {}).get("total", 0.0),
+            "hierarchy_generation_s": totals.get("hierarchy_generation", 0.0)
+            + totals.get("hierarchy_refresh", 0.0),
+            "score_update_s": totals.get("apply", 0.0),
             "final_recall": darwin.rule_set.recall(truth),
         }
 
     with timed_phase("loop_new"):
         new_loop = run_loop(config)
     with legacy_hot_paths(index), timed_phase("loop_legacy"):
-        legacy_loop = run_loop(config.with_overrides(hierarchy_refresh="full"))
+        legacy_loop = run_loop(config)
 
     entry: Dict[str, object] = {
         "num_sentences": num_sentences,

@@ -6,9 +6,11 @@ Two modes, both exercised by CI's ``obs-smoke`` job:
 * no arguments — run a short directions session with :mod:`repro.obs`
   enabled, then validate the whole surface end to end: the snapshot holds
   darwin-phase histograms, cache hit/miss counters and tenant gauges; the
-  Prometheus exposition round-trips through the repo's own parser; the
-  ``--metrics-out`` snapshot file reads back; and a second, telemetry-off
-  run records nothing (the NullRegistry guarantee);
+  run's ``DarwinResult.timings`` keys are among the histogram's phase
+  labels; the Prometheus exposition round-trips through the repo's own
+  parser; the ``--metrics-out`` snapshot file reads back; and a second,
+  telemetry-off run records nothing (the NullRegistry guarantee) yet still
+  returns its timings;
 * ``--snapshot PATH`` — validate a snapshot file some other process wrote
   (CI points this at the output of ``repro run --metrics-out``).
 
@@ -46,6 +48,15 @@ REQUIRED_FAMILIES = (
 REQUIRED_PHASES = {"index_build", "propose", "oracle_answer", "retrain"}
 
 
+def snapshot_phases(snapshot: dict) -> set:
+    """The ``darwin_phase_seconds`` phase labels a snapshot holds."""
+    phase_family = snapshot.get("metrics", {}).get("darwin_phase_seconds", {})
+    return {
+        entry.get("labels", {}).get("phase")
+        for entry in phase_family.get("series", [])
+    }
+
+
 def check_snapshot(snapshot: dict, source: str) -> list:
     """Failures found in one metrics snapshot dict (the ``snapshot()`` shape)."""
     failures = []
@@ -55,12 +66,7 @@ def check_snapshot(snapshot: dict, source: str) -> list:
     for family in REQUIRED_FAMILIES:
         if family not in metrics:
             failures.append(f"{source}: metric family {family!r} missing")
-    phase_family = metrics.get("darwin_phase_seconds", {})
-    phases = {
-        entry.get("labels", {}).get("phase")
-        for entry in phase_family.get("series", [])
-    }
-    missing = REQUIRED_PHASES - phases
+    missing = REQUIRED_PHASES - snapshot_phases(snapshot)
     if missing:
         failures.append(f"{source}: darwin phases missing: {sorted(missing)}")
     summary = obs.summarize_snapshot(snapshot)
@@ -123,7 +129,13 @@ def run_session() -> list:
         result = engine.run()
         print(f"instrumented run: {result.queries_used} questions, "
               f"{len(result.rule_set)} rules")
-        failures = check_snapshot(registry.snapshot(), "live registry")
+        snapshot = registry.snapshot()
+        failures = check_snapshot(snapshot, "live registry")
+        # Result timings and the phase histogram share one vocabulary.
+        unlabelled = set(result.timings) - snapshot_phases(snapshot)
+        if unlabelled:
+            failures.append(f"result timings without a darwin_phase_seconds "
+                            f"label: {sorted(unlabelled)}")
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "metrics.json"
             obs.write_snapshot(out)
@@ -134,6 +146,8 @@ def run_session() -> list:
     # Telemetry off: the same session must record nothing, anywhere.
     disabled = DarwinEngine.from_config(SPEC).run()
     print(f"telemetry-off run: {disabled.queries_used} questions")
+    if not disabled.timings:
+        failures.append("result timings are empty with telemetry off")
     if obs.get_registry().snapshot() != {"enabled": False, "metrics": {}}:
         failures.append("NullRegistry recorded series with telemetry off")
     if obs.get_tracer().spans():

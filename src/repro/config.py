@@ -44,6 +44,31 @@ def _registry_names(registry_attr: str) -> Optional[Tuple[str, ...]]:
     return getattr(module, registry_attr).names()
 
 
+_RETIRED_KEYS: Dict[str, Dict[str, Any]] = {
+    "index": {"coverage_backend": None, "bitset_cache_bytes": None},
+    "classifier": {"incremental_scoring": False},
+    "darwin": {"hierarchy_refresh": "incremental"},
+}
+"""Settings older checkpoint manifests record but no config has any more,
+per section, each with the value naming the behaviour that survived
+(``None``: any value). ``from_dict`` drops them; another recorded value is
+refused, because that session would resume on a deleted path."""
+
+
+def _without_retired(mapping: Mapping[str, Any], section: str) -> Dict[str, Any]:
+    """``mapping`` without ``section``'s retired keys (see ``_RETIRED_KEYS``)."""
+    record = dict(mapping)
+    for key, surviving in _RETIRED_KEYS[section].items():
+        value = record.pop(key, surviving)
+        if surviving is not None and value != surviving:
+            raise ConfigurationError(
+                f"a session recorded with the retired {section} setting "
+                f"{key}={value!r} cannot be resumed: only {surviving!r} is "
+                f"supported"
+            )
+    return record
+
+
 @dataclass(frozen=True)
 class ClassifierConfig:
     """Hyper-parameters of the benefit-estimation classifier.
@@ -60,10 +85,6 @@ class ClassifierConfig:
             sample per known positive when forming a training set (Section 3.3).
         batch_size: Mini-batch size.
         l2: L2 regularisation strength.
-        incremental_scoring: After a retrain, only re-score sentences whose
-            previous score exceeded the trainer's confidence floor (with a full
-            refresh every few retrains) — the paper's Section 3.7 optimization.
-            Off by default so experiment reruns stay exact.
         seed: RNG seed for weight init and negative sampling.
     """
 
@@ -75,7 +96,6 @@ class ClassifierConfig:
     negative_sample_ratio: float = 5.0
     batch_size: int = 32
     l2: float = 1e-4
-    incremental_scoring: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -96,16 +116,11 @@ class ClassifierConfig:
     @classmethod
     def from_dict(cls, mapping: Mapping[str, Any]) -> "ClassifierConfig":
         """Rebuild a config from :meth:`as_dict` output / a plain JSON dict."""
+        record = _without_retired(mapping, "classifier")
         try:
-            return cls(**dict(mapping))
+            return cls(**record)
         except TypeError as exc:  # unknown field name
             raise ConfigurationError(f"bad classifier config: {exc}") from exc
-
-
-_RETIRED_INDEX_KEYS = ("coverage_backend", "bitset_cache_bytes")
-"""Settings of the retired heap coverage backend and packed-bitset cache.
-Older checkpoint manifests still record them; :meth:`IndexConfig.from_dict`
-drops them."""
 
 
 @dataclass(frozen=True)
@@ -136,15 +151,8 @@ class IndexConfig:
 
     @classmethod
     def from_dict(cls, mapping: Mapping[str, Any]) -> "IndexConfig":
-        """Rebuild a config from :meth:`as_dict` output / a plain JSON dict.
-
-        The keys in ``_RETIRED_INDEX_KEYS`` are dropped, so manifests of
-        older checkpoints still load.
-        """
-        record = {
-            key: value for key, value in dict(mapping).items()
-            if key not in _RETIRED_INDEX_KEYS
-        }
+        """Rebuild a config from :meth:`as_dict` output / a plain JSON dict."""
+        record = _without_retired(mapping, "index")
         try:
             return cls(**record)
         except TypeError as exc:  # unknown field name
@@ -173,11 +181,6 @@ class DarwinConfig:
             candidate's precision is at least this value (0.8 in Section 4.1).
         oracle_sample_size: Number of example sentences shown per query.
         retrain_every: Retrain the classifier after this many accepted rules.
-        hierarchy_refresh: ``"incremental"`` (default) re-expands only the
-            index nodes whose overlap with the newly discovered positives
-            changed after each accepted rule; ``"full"`` regenerates every
-            candidate from scratch (the pre-columnar behaviour, kept for
-            experiments that need exact Algorithm 2 reruns).
         grammars: Registry names of the heuristic grammars to search over
             (see :data:`repro.engine.registry.GRAMMARS`); used by
             :class:`~repro.engine.DarwinEngine` to build grammars
@@ -204,7 +207,6 @@ class DarwinConfig:
     oracle_precision_threshold: float = 0.8
     oracle_sample_size: int = 5
     retrain_every: int = 1
-    hierarchy_refresh: str = "incremental"
     grammars: Tuple[str, ...] = ("tokensregex",)
     oracle: str = "ground_truth"
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
@@ -263,10 +265,6 @@ class DarwinConfig:
             raise ConfigurationError("oracle_sample_size must be positive")
         if self.retrain_every <= 0:
             raise ConfigurationError("retrain_every must be positive")
-        if self.hierarchy_refresh not in {"full", "incremental"}:
-            raise ConfigurationError(
-                f"unknown hierarchy_refresh: {self.hierarchy_refresh!r}"
-            )
 
     def with_overrides(self, **overrides: Any) -> "DarwinConfig":
         """Return a copy of this config with ``overrides`` applied.
@@ -309,9 +307,11 @@ class DarwinConfig:
 
         The nested ``classifier`` entry may be a mapping or a
         :class:`ClassifierConfig`; ``grammars`` may be any sequence of names.
-        Unknown keys raise :class:`~repro.errors.ConfigurationError`.
+        Unknown keys raise :class:`~repro.errors.ConfigurationError`, and
+        so does a retired setting recording a deleted mode
+        (``_RETIRED_KEYS``).
         """
-        record = dict(mapping)
+        record = _without_retired(mapping, "darwin")
         classifier = record.get("classifier")
         if isinstance(classifier, Mapping):
             record["classifier"] = ClassifierConfig.from_dict(classifier)

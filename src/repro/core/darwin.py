@@ -39,7 +39,6 @@ from ..rules.heuristic import LabelingHeuristic
 from ..rules.rule_set import RuleSet
 from ..text.corpus import Corpus
 from ..utils.rng import derive_rng
-from ..utils.timing import Stopwatch
 from .benefit import BenefitScorer
 from .candidates import CandidateOptions, generate_candidates, seed_candidates
 from .hierarchy_builder import attach_candidates, build_hierarchy, expand_rule_neighbourhood
@@ -85,9 +84,10 @@ class DarwinResult:
         covered_ids: The union coverage ``P``.
         history: Per-query records (coverage / F-score curves).
         queries_used: Number of oracle queries consumed.
-        timings: Wall-clock breakdown per phase — ``Stopwatch.as_dict``
-            blocks of ``{"total", "count", "mean"}`` seconds keyed by phase
-            name (index build, hierarchy, traversal...).
+        timings: Wall-clock breakdown per phase — ``{"total", "count",
+            "mean"}`` seconds keyed by the ``darwin_phase_seconds`` phase
+            label (``index_build``, ``hierarchy_generation``, ``propose``,
+            ``apply``...), recorded whether or not telemetry is enabled.
         config: The configuration used for the run.
     """
 
@@ -156,7 +156,8 @@ class Darwin:
         )
         if not self.grammars:
             raise ConfigurationError("at least one grammar is required")
-        self.stopwatch = Stopwatch()
+        # Per-phase [total seconds, count] of this engine (see timings()).
+        self._phase_totals: Dict[str, List[float]] = {}
         # Telemetry (repro.obs): instruments are resolved once here, so every
         # hot-path site below is a single method call — a no-op when the
         # process default is the NullRegistry. The label is "tenant" because
@@ -220,25 +221,31 @@ class Darwin:
 
     # ------------------------------------------------------------- telemetry
     @contextmanager
-    def _phase(self, name: str, phase: Optional[str] = None) -> Iterator[object]:
-        """Stopwatch + span + per-phase latency histogram in one wrapper.
+    def _phase(self, phase: str) -> Iterator[object]:
+        """Time one Darwin loop phase: span, latency histogram, engine totals.
 
-        ``name`` keys the stopwatch (the historical timing names); ``phase``
-        overrides the telemetry label where the observability vocabulary
-        differs (e.g. stopwatch ``traversal`` is phase ``propose``). Yields
+        ``phase`` is the ``darwin_phase_seconds`` label. The one measurement
+        also feeds this engine's own totals, because the histogram sums every
+        engine of the process and records nothing with telemetry off. Yields
         the open span so callers can annotate it.
         """
-        label = phase or name
-        with self.stopwatch.measure(name), obs_trace(
-            f"darwin.{label}", tenant=self.obs_label
-        ) as span:
+        with obs_trace(f"darwin.{phase}", tenant=self.obs_label) as span:
             start = time.perf_counter()
             try:
                 yield span
             finally:
-                self._obs_phase.labels(phase=label).observe(
-                    time.perf_counter() - start
-                )
+                elapsed = time.perf_counter() - start
+                self._obs_phase.labels(phase=phase).observe(elapsed)
+                totals = self._phase_totals.setdefault(phase, [0.0, 0])
+                totals[0] += elapsed
+                totals[1] += 1
+
+    def timings(self) -> Dict[str, Dict[str, float]]:
+        """This engine's ``{"total", "count", "mean"}`` seconds per phase."""
+        return {
+            phase: {"total": total, "count": float(count), "mean": total / count}
+            for phase, (total, count) in self._phase_totals.items()
+        }
 
     def _collect_obs_gauges(self) -> None:
         """Pull collector: re-express live engine state as labeled gauges.
@@ -390,7 +397,8 @@ class Darwin:
         existing hierarchy is then cleaned of rules that no longer add
         coverage. Per accepted rule this costs time proportional to the new
         positives' sketch sizes, not to regenerating ``num_candidates``
-        heuristics from scratch (the ``"full"`` mode).
+        heuristics from scratch as :meth:`_build_hierarchy` does in
+        :meth:`start`.
         """
         hierarchy = self.hierarchy
         if hierarchy is None or not new_positive_ids:
@@ -485,16 +493,13 @@ class Darwin:
         """
         self._require_started()
         if self.updater.needs_hierarchy_refresh:
-            with self._phase("hierarchy_generation", phase="hierarchy_refresh"):
-                if self.config.hierarchy_refresh == "incremental":
-                    self.hierarchy = self._refresh_hierarchy_incremental(
-                        self.updater.pending_new_positive_ids
-                    )
-                else:
-                    self.hierarchy = self._build_hierarchy()
+            with self._phase("hierarchy_refresh"):
+                self.hierarchy = self._refresh_hierarchy_incremental(
+                    self.updater.pending_new_positive_ids
+                )
             self.traversal.on_hierarchy_update(self.hierarchy)
             self.updater.acknowledge_hierarchy_refresh()
-        with self._phase("traversal", phase="propose"):
+        with self._phase("propose"):
             return self.traversal.propose()
 
     # ------------------------------------------------- concurrent dispatch API
@@ -559,7 +564,7 @@ class Darwin:
             new_positives = rule.new_positives(self.positive_ids)
             self.rule_set.add(rule)
             self.positive_ids.update(rule.coverage)
-            with self._phase("score_update", phase="apply"):
+            with self._phase("apply"):
                 self.updater.on_accept(
                     self.positive_ids, new_positives, defer=defer_update
                 )
@@ -571,7 +576,7 @@ class Darwin:
     def flush_updates(self) -> int:
         """Apply deferred retrain/refresh work; returns answers flushed."""
         self._require_started()
-        with self._phase("score_update", phase="flush"):
+        with self._phase("flush"):
             return self.updater.flush(self.positive_ids)
 
     @property
@@ -795,11 +800,16 @@ class Darwin:
             self.record_answer(
                 rule, answer.is_useful, evaluation_positive_ids=evaluation_positive_ids
             )
+        return self.result(queries_used=budgeted.queries_used)
+
+    def result(self, queries_used: Optional[int] = None) -> DarwinResult:
+        """Snapshot the session as a :class:`DarwinResult`; ``queries_used``
+        defaults to the number of answered questions."""
         return DarwinResult(
             rule_set=self.rule_set,
             covered_ids=self.rule_set.covered_ids,
             history=list(self.history),
-            queries_used=budgeted.queries_used,
-            timings=self.stopwatch.as_dict(),
+            queries_used=len(self.history) if queries_used is None else queries_used,
+            timings=self.timings(),
             config=self.config,
         )

@@ -340,16 +340,8 @@ class CrowdCoordinator:
     def result(self) -> CrowdResult:
         """Snapshot the session (flushing any trailing partial batch)."""
         self.flush()
-        darwin_result = DarwinResult(
-            rule_set=self.darwin.rule_set,
-            covered_ids=self.darwin.rule_set.covered_ids,
-            history=list(self.darwin.history),
-            queries_used=self._committed,
-            timings=self.darwin.stopwatch.as_dict(),
-            config=self.darwin.config,
-        )
         return CrowdResult(
-            darwin_result=darwin_result,
+            darwin_result=self.darwin.result(queries_used=self._committed),
             questions_committed=self._committed,
             questions_dispatched=self._next_ticket_id,
             votes_collected=self._votes_collected,

@@ -367,15 +367,7 @@ class DarwinEngine:
 
     def result(self) -> DarwinResult:
         """Snapshot the session as a :class:`DarwinResult`."""
-        darwin = self.darwin
-        return DarwinResult(
-            rule_set=darwin.rule_set,
-            covered_ids=darwin.rule_set.covered_ids,
-            history=list(darwin.history),
-            queries_used=len(darwin.history),
-            timings=darwin.stopwatch.as_dict(),
-            config=self.config,
-        )
+        return self.darwin.result()
 
     # ------------------------------------------------------------------ state
     def save(self, path: str) -> str:

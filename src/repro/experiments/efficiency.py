@@ -4,8 +4,10 @@ The paper reports index construction under 5 minutes, hierarchy generation
 under 15 minutes for 100K sentences, and traversal dominated by classifier
 scoring. The reproduction cannot match those absolute numbers (different
 hardware, pure Python), so this experiment records the same *breakdown*
-(index build / hierarchy generation / traversal / score update) across corpus
-sizes and checks that index construction grows roughly linearly.
+(index build / hierarchy generation and refresh / traversal ``propose`` /
+score update ``apply``, keyed by their ``darwin_phase_seconds`` labels)
+across corpus sizes and checks that index construction grows roughly
+linearly.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def efficiency_experiment(
     """
     sizes: List[int] = []
     phases = ("index_build", "embeddings", "initial_training",
-              "hierarchy_generation", "traversal", "score_update")
+              "hierarchy_generation", "hierarchy_refresh", "propose", "apply")
     timings: Dict[str, List[float]] = {phase: [] for phase in phases}
 
     for scale in scales:
@@ -61,8 +63,8 @@ def efficiency_experiment(
 
             fresh = Darwin(setting.corpus, grammars=setting.grammars,
                            config=setting.config)
-            timings["index_build"][-1] = fresh.stopwatch.total("index_build")
-            timings["embeddings"][-1] = fresh.stopwatch.total("embeddings")
+            for phase in ("index_build", "embeddings"):
+                timings[phase][-1] = fresh.timings()[phase]["total"]
 
     result = ExperimentResult(
         name=f"efficiency-{dataset}",

@@ -1,15 +1,12 @@
-"""Shared utilities: deterministic RNG helpers, timing, and validation."""
+"""Shared utilities: deterministic RNG helpers and validation."""
 
 from .rng import derive_rng, derive_seed, stable_hash
-from .timing import Stopwatch, timed
 from .validation import require, require_probability, require_positive
 
 __all__ = [
     "derive_rng",
     "derive_seed",
     "stable_hash",
-    "Stopwatch",
-    "timed",
     "require",
     "require_probability",
     "require_positive",

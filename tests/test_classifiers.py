@@ -193,15 +193,3 @@ class TestMakeClassifierAndTrainer:
         assert 0.0 <= f1 <= 1.0
         assert set(trainer.scores_for([0, 1])) == {0, 1}
         assert 0.0 <= trainer.score(0) <= 1.0
-
-    def test_incremental_scoring_mode(self, directions_corpus, directions_featurizer):
-        trainer = ClassifierTrainer(
-            directions_corpus, directions_featurizer,
-            config=ClassifierConfig(epochs=10, embedding_dim=30),
-            incremental_scoring=True, full_rescore_every=2,
-        )
-        truth = sorted(directions_corpus.positive_ids())
-        trainer.retrain(set(truth[:3]))
-        trainer.retrain(set(truth[:6]))
-        assert trainer.retrain_count == 2
-        assert trainer.score_corpus().shape == (len(directions_corpus),)

@@ -124,8 +124,13 @@ class TestDarwinRun:
 
     def test_timings_recorded(self, darwin_run):
         _, result = darwin_run
-        assert "traversal" in result.timings
-        assert "initial_training" in result.timings
+        for phase in ("propose", "initial_training", "oracle_answer"):
+            assert phase in result.timings
+        for entry in result.timings.values():
+            assert set(entry) == {"total", "count", "mean"}
+            assert entry["count"] >= 1.0
+            assert entry["mean"] == pytest.approx(entry["total"] / entry["count"])
+        assert result.timings["oracle_answer"]["count"] == result.queries_used
 
 
 class TestDarwinValidation:
@@ -203,26 +208,37 @@ class TestDarwinValidation:
         assert wrapped.queries_used <= 2
 
     def test_incremental_and_full_refresh_both_work(self, directions_corpus, backend_directions_index,
-                                                    directions_featurizer):
-        results = {}
-        for mode in ("incremental", "full"):
-            config = DarwinConfig(
-                budget=10, num_candidates=150, hierarchy_refresh=mode,
-                classifier=ClassifierConfig(epochs=15, embedding_dim=30),
-            )
+                                                    directions_featurizer, monkeypatch):
+        """The incremental refresh against a full rebuild after every accept
+        (the reference, patched in): both stay precise and reach the same
+        recall."""
+        config = DarwinConfig(
+            budget=10, num_candidates=150,
+            classifier=ClassifierConfig(epochs=15, embedding_dim=30),
+        )
+
+        def run():
             darwin = Darwin(
                 directions_corpus, config=config,
                 index=backend_directions_index, featurizer=directions_featurizer,
             )
-            results[mode] = darwin.run(
+            return darwin.run(
                 GroundTruthOracle(directions_corpus),
                 seed_rule_texts=["best way to get to"],
             )
+
+        results = {"incremental": run()}
+        monkeypatch.setattr(
+            Darwin, "_refresh_hierarchy_incremental",
+            lambda self, new_positive_ids: self._build_hierarchy(),
+        )
+        results["full"] = run()
+        positives = directions_corpus.positive_ids()
         for result in results.values():
             assert result.queries_used <= 10
-            positives = directions_corpus.positive_ids()
             for rule in result.rule_set.rules:
                 assert rule.precision(positives) >= 0.8
+        assert results["incremental"].final_recall == results["full"].final_recall
 
     def test_local_and_universal_traversals_run(self, directions_corpus, backend_directions_index,
                                                 directions_featurizer):

@@ -428,30 +428,26 @@ class TestSessionBudgetReconciliation:
 
 
 class TestIncrementalScoringWiring:
+    """The classifier config reaches the trainer at every construction site."""
+
     def test_trainer_honours_classifier_config(self, directions_corpus,
                                                directions_featurizer):
         from repro.classifier.trainer import ClassifierTrainer
 
-        config = ClassifierConfig(epochs=5, embedding_dim=30,
-                                  incremental_scoring=True)
+        config = ClassifierConfig(epochs=5, embedding_dim=30)
         trainer = ClassifierTrainer(directions_corpus, directions_featurizer,
                                     config=config)
-        assert trainer.incremental_scoring is True
-        # An explicit kwarg still overrides the config.
-        trainer = ClassifierTrainer(directions_corpus, directions_featurizer,
-                                    config=config, incremental_scoring=False)
-        assert trainer.incremental_scoring is False
+        assert trainer.config is config
 
     def test_darwin_builds_incremental_trainer(self, directions_corpus,
                                                backend_directions_index,
                                                directions_featurizer):
         darwin = make_darwin(
             directions_corpus, backend_directions_index, directions_featurizer,
-            classifier={"epochs": 5, "embedding_dim": 30,
-                        "incremental_scoring": True},
+            classifier={"epochs": 5, "embedding_dim": 30},
         )
         darwin.start(seed_rule_texts=[SEED_RULE])
-        assert darwin.trainer.incremental_scoring is True
+        assert darwin.trainer.config is darwin.config.classifier
 
 
 class TestSampleForQuery:

@@ -159,6 +159,9 @@ class TestEfficiencyAndAnnotators:
         sizes = result.metadata["corpus_sizes"]
         assert len(sizes) == 2 and sizes[0] < sizes[1]
         assert all(t >= 0.0 for t in result.series["index_build"])
+        # Missing phases read 0.0, so a renamed phase would pass silently.
+        for phase in ("propose", "initial_training", "hierarchy_generation"):
+            assert all(t > 0.0 for t in result.series[phase])
 
     def test_annotator_experiment(self, small_setting):
         result = annotator_experiment(small_setting, budget=12, flip_prob=0.2)

@@ -14,7 +14,8 @@ the deleted code:
 * ``legacy_engine`` / ``legacy_tenant``: the straight runs behind
   ``tests/data/legacy_engine.npz`` and ``tests/data/legacy_tenant.npz``,
   checkpoints written after 3 answers by a build that still had the heap
-  backend — a default-config engine and a tenant of a default-config pool
+  backend, the hierarchy-refresh mode and the partial re-scoring switch — a
+  default-config engine and a tenant of a default-config pool
   (``LEGACY_DATASET``, config in the checkpoint manifests).
 
 Arena-only builds must reproduce every history exactly, whichever way the
@@ -172,3 +173,24 @@ class TestLegacyCheckpoints:
         assert IndexConfig.from_dict(legacy) == IndexConfig()
         with pytest.raises(ConfigurationError, match="bad index config"):
             IndexConfig.from_dict({"arena_pth": "typo.arena"})
+
+    def test_retired_modes_are_dropped_or_refused(self):
+        """Older manifests record the retired refresh and re-scoring modes:
+        the surviving value loads, the deleted one is refused, because that
+        session would resume on the other path."""
+        manifest, _ = read_checkpoint(str(DATA / "legacy_engine.npz"))
+        recorded = manifest["config"]
+        assert recorded["hierarchy_refresh"] == "incremental"
+        assert recorded["classifier"]["incremental_scoring"] is False
+        config = DarwinConfig.from_dict(recorded)
+        assert "hierarchy_refresh" not in config.as_dict()
+        assert "incremental_scoring" not in config.as_dict()["classifier"]
+
+        full = dict(recorded, hierarchy_refresh="full")
+        with pytest.raises(ConfigurationError, match="hierarchy_refresh"):
+            DarwinConfig.from_dict(full)
+        partial = dict(recorded, classifier=dict(
+            recorded["classifier"], incremental_scoring=True
+        ))
+        with pytest.raises(ConfigurationError, match="incremental_scoring"):
+            DarwinConfig.from_dict(partial)

@@ -497,7 +497,6 @@ class TestBenefitPriming:
 def _run_history(corpus, index, featurizer, budget=12):
     config = DarwinConfig(
         budget=budget, num_candidates=200, min_coverage=2, retrain_every=4,
-        hierarchy_refresh="incremental",
         classifier=ClassifierConfig(model="logistic", epochs=10, embedding_dim=30),
     )
     darwin = Darwin(

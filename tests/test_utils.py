@@ -1,14 +1,11 @@
-"""Tests for repro.utils (rng, timing, validation)."""
+"""Tests for repro.utils (rng, validation)."""
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import derive_rng, derive_seed, stable_hash
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.validation import ensure_type, require, require_positive, require_probability
 
 
@@ -45,47 +42,6 @@ class TestDeriveSeedAndRng:
         a = derive_rng(1, "x").integers(0, 1000, size=10)
         b = derive_rng(2, "x").integers(0, 1000, size=10)
         assert not (a == b).all()
-
-
-class TestStopwatch:
-    def test_measure_accumulates(self):
-        watch = Stopwatch()
-        with watch.measure("phase"):
-            time.sleep(0.001)
-        with watch.measure("phase"):
-            time.sleep(0.001)
-        assert watch.total("phase") > 0.0
-        assert watch.counts["phase"] == 2
-        assert watch.mean("phase") <= watch.total("phase")
-
-    def test_unknown_phase_is_zero(self):
-        watch = Stopwatch()
-        assert watch.total("missing") == 0.0
-        assert watch.mean("missing") == 0.0
-
-    def test_as_dict_is_a_copy(self):
-        watch = Stopwatch()
-        with watch.measure("p"):
-            pass
-        snapshot = watch.as_dict()
-        snapshot["p"] = 999.0
-        assert watch.total("p") != 999.0
-
-    def test_as_dict_reports_totals_counts_and_means(self):
-        watch = Stopwatch()
-        for _ in range(3):
-            with watch.measure("p"):
-                time.sleep(0.001)
-        entry = watch.as_dict()["p"]
-        assert set(entry) == {"total", "count", "mean"}
-        assert entry["count"] == 3.0
-        assert entry["total"] == watch.total("p")
-        assert entry["mean"] == pytest.approx(entry["total"] / 3.0)
-
-    def test_timed_context_manager(self):
-        with timed() as box:
-            time.sleep(0.001)
-        assert box[0] > 0.0
 
 
 class TestValidation:
